@@ -36,8 +36,8 @@ from .fidelity_metrics import (
     recon_metrics,
     triangulate,
 )
-from .flowlab import ToyDataset, TrainConfig, VelocityModel, flow_match_loss, sample, train
-from .guidance import GuidanceParams, run_simdrop_experiment, simdrop_step
+from .flowlab import ToyDataset, TrainConfig, VelocityModel, flow_match_loss, integrate, train
+from .guidance import GuidanceParams, run_simdrop_experiment
 from .meshes import Mesh, builtin_mesh, load_obj
 from .micro_renderer import Frame, project_point, render_frame, render_video
 from .param_sampler import DistributionPreset, PresetLibrary, sample_batch, sample_config

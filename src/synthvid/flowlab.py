@@ -20,6 +20,7 @@ z offset is the rendering artifact nobody wants to keep.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,11 +40,10 @@ __all__ = [
     "TrainConfig",
     "VelocityModel",
     "energy_distance",
-    "euler_step",
     "flow_match_loss",
     "gaussian_mixture_dataset",
+    "integrate",
     "load_checkpoint",
-    "sample",
     "save_checkpoint",
     "toy_mixed_dataset",
     "toy_real_dataset",
@@ -78,12 +78,22 @@ class NonFiniteStateError(RuntimeError):
     """Sampler state became non-finite."""
 
 
+def _weight_shapes(data_dim: int, cond_dim: int, hidden: int) -> list[tuple[int, ...]]:
+    """Shapes of w1, b1, w2, b2, w3, b3; the input is data + time + cond_dim + null."""
+    in_dim = data_dim + 1 + cond_dim + 1
+    return [(in_dim, hidden), (hidden,), (hidden, hidden), (hidden,),
+            (hidden, data_dim), (data_dim,)]
+
+
 class VelocityModel:
     """Dense velocity network: data + time + one-hot condition in, velocity out.
 
     Two tanh hidden layers.  The condition block has ``cond_dim`` label slots
     plus a trailing null slot (classifier-free style unconditional token);
-    ``cond=None`` selects the null slot.
+    ``cond=None`` or ``-1`` selects the null slot.
+
+    All weights live in one contiguous float64 vector ``flat``; ``w1, b1, w2,
+    b2, w3, b3`` are reshaped views into it, in that (checkpoint) order.
     """
 
     def __init__(self, data_dim: int, cond_dim: int, hidden: int = 64, seed: int = 0):
@@ -93,31 +103,36 @@ class VelocityModel:
         in_dim = self.data_dim + 1 + self.cond_dim + 1
 
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.w1 = rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim)
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.standard_normal((hidden, hidden)) / np.sqrt(hidden)
-        self.b2 = np.zeros(hidden)
-        self.w3 = rng.standard_normal((hidden, self.data_dim)) / np.sqrt(hidden)
-        self.b3 = np.zeros(self.data_dim)
+        w1 = rng.standard_normal((in_dim, hidden)) / np.sqrt(in_dim)
+        w2 = rng.standard_normal((hidden, hidden)) / np.sqrt(hidden)
+        w3 = rng.standard_normal((hidden, self.data_dim)) / np.sqrt(hidden)
+        self.set_params(np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(),
+                                        np.zeros(hidden), w3.ravel(), np.zeros(self.data_dim)]))
 
     # -- parameters --
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def set_params(self, params) -> None:
+    def set_params(self, flat) -> None:
+        """Copy one vector in ``flat`` order into the model and bind the named views."""
+        shapes = _weight_shapes(self.data_dim, self.cond_dim, self.hidden)
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        flat = np.array(flat, dtype=float)
+        if flat.shape != (ends[-1],):
+            raise ValueError(f"expected {ends[-1]} weights, got shape {flat.shape}")
+        self.flat = flat
         self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = [
-            np.array(p, dtype=float) for p in params
-        ]
+            part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
     def copy(self) -> "VelocityModel":
         clone = VelocityModel.__new__(VelocityModel)
         clone.data_dim, clone.cond_dim, clone.hidden = self.data_dim, self.cond_dim, self.hidden
-        clone.set_params(self.params())
+        clone.set_params(self.flat)
         return clone
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.params())
+        return self.flat.size
 
     # -- forward / backward --
 
@@ -127,9 +142,11 @@ class VelocityModel:
         t_col = np.broadcast_to(np.asarray(t, dtype=float), (batch,)).reshape(batch, 1)
         onehot = np.zeros((batch, self.cond_dim + 1))
         labels = self._labels(cond, batch)
+        bad = labels[(labels < -1) | (labels >= self.cond_dim)]
+        if bad.size:
+            raise ValueError(f"condition label {bad[0]} out of range: expected -1 (null) "
+                             f"or 0..{self.cond_dim - 1}")
         slots = np.where(labels < 0, self.cond_dim, labels)
-        if (labels >= self.cond_dim).any():
-            raise ValueError(f"condition label out of range (cond_dim={self.cond_dim})")
         onehot[np.arange(batch), slots] = 1.0
         return np.concatenate([x, t_col, onehot], axis=1)
 
@@ -138,6 +155,8 @@ class VelocityModel:
         if cond is None:
             return np.full(batch, -1, dtype=int)
         arr = np.asarray(cond)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"condition labels must be integers or None, got {cond!r}")
         if arr.ndim == 0:
             return np.full(batch, int(arr), dtype=int)
         return arr.astype(int)
@@ -307,8 +326,8 @@ def train(model: VelocityModel, dataset: ToyDataset, cfg: TrainConfig):
         raise ValueError(f"dataset labels must lie in [0, {model.cond_dim})")
 
     model = model.copy()
-    velocity_buffers = [np.zeros_like(p) for p in model.params()]
-    averaged = [p.copy() for p in model.params()]
+    velocity_buffer = np.zeros_like(model.flat)
+    averaged = model.flat.copy()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = len(dataset)
     trace = np.empty(cfg.steps)
@@ -327,36 +346,35 @@ def train(model: VelocityModel, dataset: ToyDataset, cfg: TrainConfig):
             raise DivergenceError(f"loss became non-finite at step {step}")
         trace[step] = loss
 
-        params = model.params()
-        for buf, p, g in zip(velocity_buffers, params, grads):
-            buf *= MOMENTUM
-            buf -= cfg.learning_rate * g
-            p += buf
-        for avg, p in zip(averaged, params):
-            avg *= EMA_DECAY
-            avg += (1.0 - EMA_DECAY) * p
+        velocity_buffer *= MOMENTUM
+        velocity_buffer -= cfg.learning_rate * np.concatenate([g.ravel() for g in grads])
+        model.flat += velocity_buffer
+        averaged *= EMA_DECAY
+        averaged += (1.0 - EMA_DECAY) * model.flat
 
     model.set_params(averaged)
     return model, trace
 
 
-def euler_step(x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """One backward Euler step of the flow: x <- x - dt * v."""
-    return x - dt * v
+# ---------------------------------------------------------------------------
+# sampling
 
 
-def sample(model: VelocityModel, cond, n_steps: int, seed: int) -> np.ndarray:
-    """Integrate the learned flow from seeded noise down to t = 0."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal(model.data_dim)
+def integrate(velocity_fn, x, n_steps: int) -> np.ndarray:
+    """Euler-integrate a flow backward from t = 1 (noise) to t = 0 (data).
+
+    Step k evaluates ``v = velocity_fn(x, t)`` at ``t = 1 - k * dt`` with
+    ``dt = 1 / n_steps`` and moves ``x <- x - dt * v``.  ``x`` may be one point
+    or a batch; ``velocity_fn`` sees it as given.
+    """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    x = np.asarray(x, dtype=float)
     dt = 1.0 / n_steps
     for k in range(n_steps):
-        t = 1.0 - k * dt
-        x = euler_step(x, model.velocity(x, t, cond), dt)
+        x = x - dt * velocity_fn(x, 1.0 - k * dt)
         if not np.isfinite(x).all():
-            raise NonFiniteStateError(f"sample state became non-finite at step {k}")
+            raise NonFiniteStateError(f"sampler state became non-finite at step {k}")
     return x
 
 
@@ -386,6 +404,10 @@ def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
 # checkpoints: one JSON header line, then raw float64 parameters
 
 
+_HEADER_FIELDS = ("schema", "data_dim", "cond_dim", "hidden", "param_count", "seed",
+                  "train_steps")
+
+
 def save_checkpoint(model: VelocityModel, path, seed: int | None = None,
                     train_steps: int | None = None) -> None:
     header = {
@@ -397,28 +419,45 @@ def save_checkpoint(model: VelocityModel, path, seed: int | None = None,
         "seed": seed,
         "train_steps": train_steps,
     }
-    flat = np.concatenate([p.ravel() for p in model.params()])
-    payload = json.dumps(header).encode("ascii") + b"\n" + flat.astype("<f8").tobytes()
+    payload = json.dumps(header).encode("ascii") + b"\n" + model.flat.astype("<f8").tobytes()
     Path(path).write_bytes(payload)
 
 
 def load_checkpoint(path):
-    """Returns ``(model, header_dict)``."""
+    """Returns ``(model, header_dict)``; raises ValueError naming the bad field."""
     data = Path(path).read_bytes()
-    newline = data.index(b"\n")
-    header = json.loads(data[:newline].decode("ascii"))
-    if header.get("schema") != 1:
-        raise ValueError(f"{path}: unsupported checkpoint schema")
-    flat = np.frombuffer(data[newline + 1:], dtype="<f8")
-    if flat.size != header["param_count"]:
-        raise ValueError(f"{path}: parameter payload does not match header")
+    head, newline, payload = data.partition(b"\n")
+    if not newline:
+        raise ValueError(f"{path}: header: no newline ends a JSON header line")
+    try:
+        header = json.loads(head.decode("ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: header: not an ASCII JSON line ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header: expected a JSON object")
+    for field in _HEADER_FIELDS:
+        if field not in header:
+            raise ValueError(f"{path}: header field {field!r} is missing")
+    if header["schema"] != 1:
+        raise ValueError(f"{path}: header field 'schema': unsupported value {header['schema']!r}")
+    for field in ("data_dim", "cond_dim", "hidden"):
+        value = header[field]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{path}: header field {field!r} must be an integer >= 0, "
+                             f"got {value!r}")
+    n_weights = sum(math.prod(shape) for shape in _weight_shapes(
+        header["data_dim"], header["cond_dim"], header["hidden"]))
+    if header["param_count"] != n_weights:
+        raise ValueError(f"{path}: header field 'param_count' = {header['param_count']} does "
+                         f"not match the {n_weights} weights its dimensions imply")
+    if len(payload) != 8 * header["param_count"]:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes but header field "
+                         f"'param_count' = {header['param_count']} needs "
+                         f"{8 * header['param_count']}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: payload has non-finite weights")
 
     model = VelocityModel(header["data_dim"], header["cond_dim"], header["hidden"], seed=0)
-    shapes = [p.shape for p in model.params()]
-    params, offset = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        params.append(flat[offset:offset + size].reshape(shape))
-        offset += size
-    model.set_params(params)
+    model.set_params(flat)
     return model, header

@@ -33,13 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from .flowlab import (
-    NonFiniteStateError,
     REFERENCE_LABEL,
     TAGGED_SYNTHETIC_LABEL,
     TOY_COND_DIM,
     TrainConfig,
     VelocityModel,
-    euler_step,
+    integrate,
     toy_mixed_dataset,
     toy_real_dataset,
     toy_synthetic_dataset,
@@ -50,16 +49,12 @@ from .seeding import stream_seed
 __all__ = [
     "ANGLE_BINS",
     "GuidanceParams",
-    "GuidedSamplerState",
     "SimDropReport",
-    "cfg_step",
     "default_guidance_params",
     "guidance_delta",
     "run_simdrop_experiment",
-    "simdrop_step",
     "simdrop_velocity",
     "train_transfer_models",
-    "unguided_step",
     "write_report",
 ]
 
@@ -103,19 +98,6 @@ def default_guidance_params(alpha: float, beta: float = DEFAULT_BETA) -> Guidanc
                           t_hat=REFERENCE_LABEL, n_hat=None)
 
 
-@dataclass(frozen=True)
-class GuidedSamplerState:
-    x: np.ndarray
-    step: int
-    time: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if not np.isfinite(x).all():
-            raise NonFiniteStateError("sampler state is non-finite")
-        object.__setattr__(self, "x", x)
-
-
 def guidance_delta(model, x, time: float, positive, negative) -> np.ndarray:
     """Classifier-free guidance direction: v(x, t | positive) - v(x, t | negative)."""
     return model.velocity(x, time, positive) - model.velocity(x, time, negative)
@@ -127,29 +109,6 @@ def simdrop_velocity(gen, ref, x, time: float, params: GuidanceParams) -> np.nda
     # base is reused for the CFG delta; algebraically identical to a second
     # gen(l, t) evaluation in the combination rule
     return v + params.beta * (base - gen.velocity(x, time, params.n))
-
-
-def simdrop_step(gen, ref, state: GuidedSamplerState, params: GuidanceParams,
-                 dt: float) -> GuidedSamplerState:
-    """Advance one Euler step under the combined guidance velocity."""
-    v = simdrop_velocity(gen, ref, state.x, state.time, params)
-    return GuidedSamplerState(x=euler_step(state.x, v, dt),
-                              step=state.step + 1, time=state.time - dt)
-
-
-def cfg_step(gen, state: GuidedSamplerState, beta: float, positive, negative,
-             dt: float) -> GuidedSamplerState:
-    """Plain classifier-free guidance step (no reference model)."""
-    base = gen.velocity(state.x, state.time, positive)
-    v = base + beta * (base - gen.velocity(state.x, state.time, negative))
-    return GuidedSamplerState(x=euler_step(state.x, v, dt),
-                              step=state.step + 1, time=state.time - dt)
-
-
-def unguided_step(model, state: GuidedSamplerState, cond, dt: float) -> GuidedSamplerState:
-    v = model.velocity(state.x, state.time, cond)
-    return GuidedSamplerState(x=euler_step(state.x, v, dt),
-                              step=state.step + 1, time=state.time - dt)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +157,14 @@ def run_simdrop_experiment(gen: VelocityModel, ref: VelocityModel,
     """
     if gen.data_dim != ref.data_dim:
         raise ValueError("generation and reference models must share data_dim")
+    # integrate before the empty-run return, so a bad n_steps is rejected either way
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = integrate(lambda x, t: simdrop_velocity(gen, ref, x, t, params),
+                  rng.standard_normal((n_samples, gen.data_dim)), n_steps)
     if n_samples == 0:
         return SimDropReport(n_samples=0, angular_coverage=0.0, covered_bins=0,
                              artifact_mean=None, artifact_abs_mean=None,
                              alpha=params.alpha, beta=params.beta)
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal((n_samples, gen.data_dim))
-    dt = 1.0 / n_steps
-    for k in range(n_steps):
-        t = 1.0 - k * dt
-        x = euler_step(x, simdrop_velocity(gen, ref, x, t, params), dt)
-        if not np.isfinite(x).all():
-            raise NonFiniteStateError(f"guided sampling became non-finite at step {k}")
 
     angles = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
     bins = np.floor(angles / (2.0 * np.pi / ANGLE_BINS)).astype(int)

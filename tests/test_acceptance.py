@@ -22,11 +22,8 @@ from synthvid.cli import main as cli_main
 from synthvid.flowlab import TrainConfig, VelocityModel, energy_distance, train
 from synthvid.guidance import (
     GuidanceParams,
-    GuidedSamplerState,
-    cfg_step,
     default_guidance_params,
     run_simdrop_experiment,
-    simdrop_step,
     simdrop_velocity,
     train_transfer_models,
 )
@@ -77,13 +74,14 @@ def test_criterion_1_simdrop_algebra():
     for trial in range(1000):
         gen = VelocityModel(data_dim=3, cond_dim=3, hidden=16, seed=trial)
         ref = VelocityModel(data_dim=3, cond_dim=3, hidden=16, seed=100_000 + trial)
-        state = GuidedSamplerState(x=rng.standard_normal(3), step=0,
-                                   time=float(rng.uniform(0.1, 1.0)))
+        x = rng.standard_normal(3)
+        t = float(rng.uniform(0.1, 1.0))
         beta = float(rng.uniform(0.0, 1.0))
         params = GuidanceParams(alpha=0.0, beta=beta, t=0, n=1, t_hat=2, n_hat=None)
-        guided = simdrop_step(gen, ref, state, params, dt=0.01)
-        plain = cfg_step(gen, state, beta=beta, positive=0, negative=1, dt=0.01)
-        assert (guided.x == plain.x).all()
+        guided = simdrop_velocity(gen, ref, x, t, params)
+        base = gen.velocity(x, t, 0)
+        plain = base + beta * (base - gen.velocity(x, t, 1))
+        assert (guided == plain).all()
 
     class Scalar:
         data_dim = 1
@@ -139,12 +137,8 @@ def test_criterion_3_gmm_energy_distance():
     assert trace[-100:].mean() < trace[:100].mean()
 
     rng = np.random.default_rng(3)
-    samples = rng.standard_normal((2000, 2))
-    n_euler = 100
-    dt = 1.0 / n_euler
-    for k in range(n_euler):
-        t = 1.0 - k * dt
-        samples = samples - dt * trained.velocity(samples, t, 0)
+    samples = flowlab.integrate(lambda x, t: trained.velocity(x, t, 0),
+                                rng.standard_normal((2000, 2)), 100)
 
     held_out = flowlab.gaussian_mixture_dataset(2000, seed=303).points
     # oracle: the same statistic between two fresh data resamples, computed

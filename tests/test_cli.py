@@ -3,6 +3,7 @@ import json
 import pytest
 
 from synthvid.cli import main
+from synthvid.flowlab import TOY_COND_DIM, VelocityModel, save_checkpoint
 from synthvid.micro_renderer import read_ppm
 from synthvid.scene_config import decode_config
 
@@ -115,6 +116,18 @@ def test_train_toy_and_sample_simdrop(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert [r["alpha"] for r in doc["runs"]] == [0.1, 0.2]
     assert all(r["n_samples"] == 50 for r in doc["runs"])
+
+
+def test_sample_simdrop_zero_steps_exits_1(tmp_path, capsys):
+    for name in ("gen", "ref"):
+        save_checkpoint(VelocityModel(data_dim=3, cond_dim=TOY_COND_DIM, seed=1),
+                        tmp_path / f"{name}.ckpt")
+    report = tmp_path / "report.json"
+    assert run("sample-simdrop", "--gen", str(tmp_path / "gen.ckpt"),
+               "--ref", str(tmp_path / "ref.ckpt"), "--n", "10", "--steps", "0",
+               "--report", str(report)) == 1
+    assert "n_steps must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_train_toy_checkpoints_reproducible(tmp_path):

@@ -1,16 +1,23 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from synthvid import flowlab
 from synthvid.flowlab import (
+    EMA_DECAY,
+    MOMENTUM,
     DivergenceError,
+    NonFiniteStateError,
     ToyDataset,
     TrainConfig,
     VelocityModel,
     energy_distance,
     flow_match_loss,
     gaussian_mixture_dataset,
+    integrate,
     load_checkpoint,
-    sample,
     save_checkpoint,
     toy_mixed_dataset,
     toy_real_dataset,
@@ -21,6 +28,47 @@ from synthvid.flowlab import (
 
 def tiny_model(seed=0, data_dim=2, cond_dim=2, hidden=8):
     return VelocityModel(data_dim=data_dim, cond_dim=cond_dim, hidden=hidden, seed=seed)
+
+
+def noise(seed, shape=2):
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(shape)
+
+
+# -- weights --
+
+
+def test_params_are_views_into_one_flat_vector():
+    model = tiny_model()
+    assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+    assert model.n_params() == model.flat.size
+    assert (np.concatenate([p.ravel() for p in model.params()]) == model.flat).all()
+    for p in model.params():
+        assert np.shares_memory(p, model.flat)
+    model.w2.ravel()[3] = 7.5
+    assert 7.5 in model.flat
+
+
+def test_init_draws_weights_from_one_stream():
+    model = VelocityModel(data_dim=2, cond_dim=2, hidden=8, seed=4)
+    rng = np.random.Generator(np.random.PCG64(4))
+    w1 = rng.standard_normal((6, 8)) / np.sqrt(6)
+    w2 = rng.standard_normal((8, 8)) / np.sqrt(8)
+    w3 = rng.standard_normal((8, 2)) / np.sqrt(8)
+    for got, want in zip(model.params(), (w1, np.zeros(8), w2, np.zeros(8), w3, np.zeros(2))):
+        assert got.shape == want.shape and (got == want).all()
+
+
+def test_copy_and_set_params_own_their_weights():
+    model = tiny_model(seed=3)
+    clone = model.copy()
+    clone.w1[0, 0] += 1.0
+    assert clone.w1[0, 0] != model.w1[0, 0]
+    replacement = np.arange(model.n_params(), dtype=float)
+    model.set_params(replacement)
+    replacement[0] = -1.0
+    assert model.flat[0] == 0.0 and model.b3[-1] == model.n_params() - 1
+    with pytest.raises(ValueError):
+        model.set_params(np.zeros(model.n_params() + 1))
 
 
 # -- loss --
@@ -101,6 +149,22 @@ def test_label_out_of_range_rejected():
         model.velocity(np.zeros(2), 0.5, 2)
 
 
+def test_label_below_null_token_rejected():
+    model = tiny_model(cond_dim=2)
+    x = np.array([0.5, -0.5])
+    assert (model.velocity(x, 0.5, -1) == model.velocity(x, 0.5, None)).all()
+    with pytest.raises(ValueError, match="label -5"):
+        model.velocity(x, 0.5, -5)
+    with pytest.raises(ValueError, match="label -2"):
+        model.velocity(np.zeros((3, 2)), 0.5, [0, -2, -1])
+
+
+@pytest.mark.parametrize("cond", [0.7, -0.9, True, [0, 1.5]])
+def test_non_integer_label_rejected(cond):
+    with pytest.raises(ValueError, match="must be integers"):
+        tiny_model().velocity(np.zeros((2, 2)), 0.5, cond)
+
+
 # -- training --
 
 
@@ -154,38 +218,69 @@ def test_labels_must_fit_cond_dim():
         train(tiny_model(cond_dim=2), bad, TrainConfig(1e-3, 10, 4, 0.0, seed=0))
 
 
+def _per_array_train(model, dataset, cfg):
+    """The momentum/EMA update written per weight array, as a reference for train."""
+    model = model.copy()
+    params = model.params()
+    buffers = [np.zeros_like(p) for p in params]
+    averaged = [p.copy() for p in params]
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    for _ in range(cfg.steps):
+        idx = rng.integers(0, len(dataset), size=cfg.batch_size)
+        conds = dataset.labels[idx].copy()
+        conds[rng.random(cfg.batch_size) < cfg.cond_dropout] = -1
+        x1 = rng.standard_normal((cfg.batch_size, model.data_dim))
+        t = rng.random(cfg.batch_size)
+        _, grads = flowlab._batch_loss_and_grads(model, dataset.points[idx], x1, t, conds)
+        for buf, p, g in zip(buffers, params, grads):
+            buf *= MOMENTUM
+            buf -= cfg.learning_rate * g
+            p += buf
+        for avg, p in zip(averaged, params):
+            avg *= EMA_DECAY
+            avg += (1.0 - EMA_DECAY) * p
+    return averaged
+
+
+def test_flat_update_matches_per_array_reference():
+    dataset = gaussian_mixture_dataset(300, seed=14)
+    cfg = TrainConfig(learning_rate=5e-3, steps=50, batch_size=16, cond_dropout=0.2, seed=15)
+    model = tiny_model(seed=16, cond_dim=1)
+    trained, _ = train(model, dataset, cfg)
+    for got, want in zip(trained.params(), _per_array_train(model, dataset, cfg)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_null_condition_reachable_after_dropout_training():
     dataset = gaussian_mixture_dataset(1000, seed=10)
     model, _ = train(VelocityModel(2, 1, seed=11), dataset,
                      TrainConfig(2e-3, 500, 64, 0.2, seed=12))
-    out = sample(model, cond=None, n_steps=50, seed=13)
+    out = integrate(lambda x, t: model.velocity(x, t, None), noise(13), 50)
     assert np.isfinite(out).all()
 
 
 # -- sampling --
 
 
-class _FieldStub:
-    """Duck-typed velocity field for sampler oracles."""
-
-    def __init__(self, fn, data_dim=2):
-        self.data_dim = data_dim
-        self._fn = fn
-
-    def velocity(self, x, t, cond):
-        return self._fn(np.asarray(x, dtype=float), t)
-
-
 def test_zero_field_returns_initial_noise():
-    stub = _FieldStub(lambda x, t: np.zeros_like(x))
-    out = sample(stub, cond=None, n_steps=25, seed=21)
-    expected = np.random.Generator(np.random.PCG64(21)).standard_normal(2)
-    assert np.allclose(out, expected, atol=0.0)
+    out = integrate(lambda x, t: np.zeros_like(x), noise(21), 25)
+    assert (out == noise(21)).all()
 
 
 def test_sampling_is_deterministic():
     model = tiny_model()
-    assert (sample(model, 0, 50, seed=3) == sample(model, 0, 50, seed=3)).all()
+    field = lambda x, t: model.velocity(x, t, 0)  # noqa: E731
+    assert (integrate(field, noise(3), 50) == integrate(field, noise(3), 50)).all()
+
+
+def test_integrate_handles_a_batch_like_single_points():
+    model = tiny_model()
+    field = lambda x, t: model.velocity(x, t, 1)  # noqa: E731
+    batch = noise(5, (4, 2))
+    together = integrate(field, batch, 20)
+    assert together.shape == (4, 2)
+    for row, point in zip(together, batch):
+        assert np.allclose(row, integrate(field, point, 20), atol=1e-12)
 
 
 def test_linear_field_matches_closed_form_oracle():
@@ -193,12 +288,11 @@ def test_linear_field_matches_closed_form_oracle():
     #   exact solution x(0) = x(1) exp(-a)
     #   Euler with n steps x(0) = x(1) (1 - a/n)^n
     a = 0.5
-    stub = _FieldStub(lambda x, t: a * x)
-    x1 = np.random.Generator(np.random.PCG64(31)).standard_normal(2)
+    x1 = noise(31)
     exact = x1 * np.exp(-a)
     errors = {}
     for n_steps in (1, 100):
-        out = sample(stub, cond=None, n_steps=n_steps, seed=31)
+        out = integrate(lambda x, t: a * x, x1, n_steps)
         closed_euler = x1 * (1.0 - a / n_steps) ** n_steps
         assert np.abs(out - closed_euler).max() < 1e-12
         bound = np.abs(closed_euler - exact).max() + 1e-12
@@ -209,11 +303,25 @@ def test_linear_field_matches_closed_form_oracle():
 
 def test_constant_field_is_exact_for_any_step_count():
     c = np.array([0.7, -0.2])
-    stub = _FieldStub(lambda x, t: np.broadcast_to(c, x.shape))
-    x1 = np.random.Generator(np.random.PCG64(41)).standard_normal(2)
+    x1 = noise(41)
     for n_steps in (1, 7, 100):
-        out = sample(stub, cond=None, n_steps=n_steps, seed=41)
+        out = integrate(lambda x, t: np.broadcast_to(c, x.shape), x1, n_steps)
         assert np.allclose(out, x1 - c, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, True, "10"])
+def test_integrate_rejects_bad_step_counts(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        integrate(lambda x, t: x, noise(1), n_steps)
+
+
+def test_integrate_names_the_non_finite_step():
+    # four steps visit t = 1, 0.75, 0.5, 0.25; the field is infinite only at the last
+    def field(x, t):
+        return np.full_like(x, np.inf) if t < 0.3 else np.zeros_like(x)
+
+    with pytest.raises(NonFiniteStateError, match="step 3"):
+        integrate(field, noise(2), 4)
 
 
 # -- toy data --
@@ -274,6 +382,72 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(model, tmp_path / "a.ckpt", seed=1, train_steps=0)
     save_checkpoint(model, tmp_path / "b.ckpt", seed=1, train_steps=0)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_resave_is_byte_identical(tmp_path):
+    model, _ = train(tiny_model(seed=64), gaussian_mixture_dataset(200, seed=65),
+                     TrainConfig(1e-3, 30, 16, 0.1, seed=66))
+    save_checkpoint(model, tmp_path / "a.ckpt", seed=64, train_steps=30)
+    loaded, header = load_checkpoint(tmp_path / "a.ckpt")
+    save_checkpoint(loaded, tmp_path / "b.ckpt", seed=header["seed"],
+                    train_steps=header["train_steps"])
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def _checkpoint_parts(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model(seed=81), path, seed=81, train_steps=0)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(head), payload
+
+
+def _write(path, header, payload):
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+
+
+def test_checkpoint_without_header_newline_rejected(tmp_path):
+    path = tmp_path / "garbage.ckpt"
+    path.write_bytes(bytes(range(1, 10)) + b"\xff\x00garbage")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["param_count", "hidden", "train_steps"])
+def test_checkpoint_header_missing_field_rejected(tmp_path, field):
+    path, header, payload = _checkpoint_parts(tmp_path)
+    del header[field]
+    _write(path, header, payload)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field '{field}' is missing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_wrong_payload_size_rejected(tmp_path):
+    path, header, payload = _checkpoint_parts(tmp_path)
+    for bad in (payload[:-8], payload + b"\0" * 8, payload[:-3]):
+        _write(path, header, bad)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload .* 'param_count'"):
+            load_checkpoint(path)
+    _write(path, dict(header, param_count=header["param_count"] - 1), payload[:-8])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field 'param_count'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [-1, 8.0, None])
+def test_checkpoint_bad_dimension_rejected(tmp_path, value):
+    path, header, payload = _checkpoint_parts(tmp_path)
+    _write(path, dict(header, hidden=value), payload)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field 'hidden'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_weights_rejected(tmp_path, value):
+    path, header, payload = _checkpoint_parts(tmp_path)
+    weights = np.frombuffer(payload, dtype="<f8").copy()
+    weights[5] = value
+    _write(path, header, weights.tobytes())
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload has non-finite weights"):
+        load_checkpoint(path)
 
 
 def test_train_config_validation():

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from synthvid.flowlab import VelocityModel, euler_step
+from synthvid.flowlab import NonFiniteStateError, VelocityModel, integrate
 from synthvid.guidance import (
     GuidanceParams,
-    GuidedSamplerState,
-    cfg_step,
     default_guidance_params,
     guidance_delta,
     run_simdrop_experiment,
-    simdrop_step,
     simdrop_velocity,
-    unguided_step,
 )
 
 
@@ -37,10 +33,6 @@ class _LinearModel:
 
     def velocity(self, x, t, cond):
         return self.scale * np.asarray(x, dtype=float) + self.offsets[cond]
-
-
-def _random_state(rng, dim=3):
-    return GuidedSamplerState(x=rng.standard_normal(dim), step=0, time=1.0)
 
 
 def test_guidance_delta_cancels_for_equal_conditions():
@@ -86,23 +78,34 @@ def test_alpha_zero_reduces_to_cfg_bitwise(rng):
     for trial in range(50):
         gen = VelocityModel(data_dim=3, cond_dim=3, seed=trial)
         ref = VelocityModel(data_dim=3, cond_dim=3, seed=1000 + trial)
-        state = _random_state(rng)
+        x, time = rng.standard_normal(3), float(rng.uniform(0.1, 1.0))
         params = GuidanceParams(alpha=0.0, beta=0.3, t=0, n=1, t_hat=2, n_hat=None)
-        via_simdrop = simdrop_step(gen, ref, state, params, dt=0.01)
-        via_cfg = cfg_step(gen, state, beta=0.3, positive=0, negative=1, dt=0.01)
-        assert (via_simdrop.x == via_cfg.x).all()
-        assert via_simdrop.time == via_cfg.time
+        base = gen.velocity(x, time, 0)
+        cfg = base + 0.3 * (base - gen.velocity(x, time, 1))
+        assert (simdrop_velocity(gen, ref, x, time, params) == cfg).all()
+
+
+def test_alpha_zero_sampling_is_cfg_sampling_bitwise(rng):
+    gen = VelocityModel(data_dim=3, cond_dim=3, seed=3)
+    ref = VelocityModel(data_dim=3, cond_dim=3, seed=4)
+    params = GuidanceParams(alpha=0.0, beta=0.3, t=0, n=1, t_hat=2, n_hat=None)
+
+    def cfg(x, t):
+        base = gen.velocity(x, t, 0)
+        return base + 0.3 * (base - gen.velocity(x, t, 1))
+
+    x1 = rng.standard_normal((16, 3))
+    guided = integrate(lambda x, t: simdrop_velocity(gen, ref, x, t, params), x1, 20)
+    assert (guided == integrate(cfg, x1, 20)).all()
 
 
 def test_alpha_beta_zero_reduces_to_unguided_bitwise(rng):
     for trial in range(50):
         gen = VelocityModel(data_dim=3, cond_dim=3, seed=trial)
         ref = VelocityModel(data_dim=3, cond_dim=3, seed=2000 + trial)
-        state = _random_state(rng)
+        x, time = rng.standard_normal(3), float(rng.uniform(0.1, 1.0))
         params = GuidanceParams(alpha=0.0, beta=0.0, t=0, n=1, t_hat=2, n_hat=None)
-        guided = simdrop_step(gen, ref, state, params, dt=0.02)
-        plain = unguided_step(gen, state, 0, dt=0.02)
-        assert (guided.x == plain.x).all()
+        assert (simdrop_velocity(gen, ref, x, time, params) == gen.velocity(x, time, 0)).all()
 
 
 def test_velocity_affine_in_alpha_and_beta(rng):
@@ -124,18 +127,23 @@ def test_velocity_affine_in_alpha_and_beta(rng):
 
 def test_step_advances_bookkeeping():
     gen = _ScalarModel({None: 0.5, 1: 0.5, 2: 0.5})
-    state = GuidedSamplerState(x=np.array([1.0]), step=3, time=0.5)
     params = GuidanceParams(alpha=0.0, beta=0.0, t=None, n=1, t_hat=2, n_hat=None)
-    after = simdrop_step(gen, gen, state, params, dt=0.1)
-    assert after.step == 4
-    assert after.time == pytest.approx(0.4)
-    assert after.x[0] == pytest.approx(euler_step(np.array([1.0]), np.array([0.5]), 0.1)[0])
+    times = []
+
+    def field(x, t):
+        times.append(t)
+        return simdrop_velocity(gen, gen, x, t, params)
+
+    out = integrate(field, np.array([1.0]), 10)
+    assert times == [1.0 - k * 0.1 for k in range(10)]
+    assert out[0] == pytest.approx(1.0 - 10 * 0.1 * 0.5)
 
 
 def test_state_rejects_non_finite():
-    from synthvid.flowlab import NonFiniteStateError
-    with pytest.raises(NonFiniteStateError):
-        GuidedSamplerState(x=np.array([np.nan]), step=0, time=1.0)
+    gen = _ScalarModel({None: np.inf, 1: 0.0}, data_dim=3)
+    ref = _ScalarModel({2: 0.0, None: 0.0}, data_dim=3)
+    with pytest.raises(NonFiniteStateError, match="step 0"):
+        run_simdrop_experiment(gen, ref, default_guidance_params(0.1), n_samples=4, seed=0)
 
 
 def test_negative_weights_rejected():
@@ -168,3 +176,12 @@ def test_experiment_requires_matching_dims():
     ref = VelocityModel(data_dim=2, cond_dim=3, seed=12)
     with pytest.raises(ValueError):
         run_simdrop_experiment(gen, ref, default_guidance_params(0.1), 10, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [0, 8])
+def test_experiment_rejects_zero_steps(n_samples):
+    gen = VelocityModel(data_dim=3, cond_dim=3, seed=13)
+    ref = VelocityModel(data_dim=3, cond_dim=3, seed=14)
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 0"):
+        run_simdrop_experiment(gen, ref, default_guidance_params(0.1), n_samples, seed=0,
+                               n_steps=0)
