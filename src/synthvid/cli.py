@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="synthvid",
         description="Procedural synthetic-video pipeline: scene sampling, rendering, "
                     "captioning, dataset mixing, toy guided flows, fidelity metrics.")
+    parser.add_argument("--verbose", action="store_true",
+                        help="print the full traceback when a command fails")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("sample-configs", help="sample scene configs from a preset")
@@ -445,6 +448,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if args.verbose:
+            traceback.print_exc(file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

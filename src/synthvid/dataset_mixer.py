@@ -162,8 +162,14 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def load_pool_dir(directory) -> list[tuple[str, ComposedCaption]]:
-    """Collect ``*.caption.json`` pool entries from a directory (sorted)."""
+    """Collect ``*.caption.json`` pool entries from a directory (sorted).
+
+    An existing directory without entries is an empty pool; a path that is
+    not a directory raises ``FileNotFoundError``.
+    """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"pool directory not found: {directory}")
     pool = []
     for path in sorted(directory.glob("*.caption.json")):
         doc = json.loads(path.read_text())

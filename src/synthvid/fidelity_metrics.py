@@ -236,6 +236,9 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
 
     Degenerate tracks are skipped (they reduce N) rather than aborting the
     run, mirroring reconstruction pipelines that drop unregistered points.
+    A track whose triangulated point lies at or behind any camera that
+    observes it fails the cheirality test and is dropped the same way, so
+    one such track cannot turn e and e^ into inf.
     """
     if len(track_set) == 0:
         raise EmptyTrackSetError("track set is empty")
@@ -252,10 +255,13 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
         for i, (k, observed) in enumerate(zip(track.frames, track.pixels)):
             xy, _, behind = project_points(track_set.cameras.frames[k], point,
                                            track_set.width, track_set.height)
-            residuals[i] = np.inf if behind[0] else np.linalg.norm(xy[0] - observed)
-        per_track_errors.append(float(residuals.mean()))
-        per_track_lengths.append(len(track))
-        per_track_residuals.append(residuals)
+            if behind[0]:
+                break
+            residuals[i] = np.linalg.norm(xy[0] - observed)
+        else:
+            per_track_errors.append(float(residuals.mean()))
+            per_track_lengths.append(len(track))
+            per_track_residuals.append(residuals)
 
     n = len(per_track_errors)
     if n == 0:

@@ -5,10 +5,18 @@ no textures, back-face culling on, near-plane clipping so room interiors
 stay intact.  It exists to give the pipeline geometrically exact frames,
 not pretty ones.  Pixel (i, j) covers [i, i+1) x [j, j+1); coverage is
 sampled at pixel centers.
+
+A frame's triangles are clipped and rasterized together: a span
+rasterizer gives each pixel row of each triangle a conservative x-span and
+tests every pixel center in it with exact edge functions, in batches under
+a fixed fragment budget.  Its frames equal, bit for bit, those of drawing
+the triangles one at a time with a strict ``<`` depth test; that loop is
+kept in ``tests/reference_rasterizer.py`` as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -137,78 +145,183 @@ def shaded_triangle_colors(mesh: Mesh, camera_position: np.ndarray,
 # rasterization
 
 
-def _clip_near(tri_cam: np.ndarray) -> list[np.ndarray]:
-    """Clip one camera-space triangle against z >= NEAR_PLANE.
+def _fan_table():
+    """Pieces of a triangle clipped by the near plane, per inside pattern.
 
-    Returns 0, 1 or 2 triangles (Sutherland-Hodgman then a fan).
+    Pattern bit i is set when vertex i lies in front of the plane.  Corner
+    i < 3 is vertex i; corner 3 + i is where edge (i, i + 1) crosses the
+    plane.  Walking the edges (Sutherland-Hodgman) gives a polygon of 0, 3
+    or 4 corners, cut into a fan of 0, 1 or 2 triangles.
     """
-    inside = tri_cam[:, 2] >= NEAR_PLANE
-    if inside.all():
-        return [tri_cam]
-    if not inside.any():
-        return []
-    poly = []
-    for i in range(3):
-        cur, nxt = tri_cam[i], tri_cam[(i + 1) % 3]
-        if inside[i]:
-            poly.append(cur)
-        if inside[i] != inside[(i + 1) % 3]:
-            s = (NEAR_PLANE - cur[2]) / (nxt[2] - cur[2])
-            poly.append(cur + s * (nxt - cur))
-    return [np.stack([poly[0], poly[k], poly[k + 1]]) for k in range(1, len(poly) - 1)]
+    fans = np.zeros((8, 2, 3), dtype=np.int64)
+    n_pieces = np.zeros(8, dtype=np.int64)
+    for pattern in range(8):
+        inside = [bool(pattern >> i & 1) for i in range(3)]
+        poly = []
+        for i in range(3):
+            if inside[i]:
+                poly.append(i)
+            if inside[i] != inside[(i + 1) % 3]:
+                poly.append(3 + i)
+        n_pieces[pattern] = max(len(poly) - 2, 0)
+        for k in range(1, len(poly) - 1):
+            fans[pattern, k - 1] = poly[0], poly[k], poly[k + 1]
+    return fans, n_pieces
 
 
-def _rasterize(cam_tris: list[np.ndarray], colors: list[np.ndarray],
-               width: int, height: int, focal_px: float,
+_CLIP_FANS, _CLIP_PIECES = _fan_table()
+
+
+def _clip_near(tris: np.ndarray):
+    """Clip camera-space triangles (n, 3, 3) against z >= NEAR_PLANE.
+
+    Returns ``(pieces (m, 3, 3), source (m,))``: each triangle's 0, 1 or 2
+    pieces in front of the plane, in triangle order, and the index of the
+    triangle each piece came from.  A triangle wholly in front is its own
+    single piece.
+    """
+    pattern = (tris[:, :, 2] >= NEAR_PLANE) @ np.array([1, 2, 4])
+    nxt = tris[:, [1, 2, 0]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (NEAR_PLANE - tris[:, :, 2]) / (nxt[:, :, 2] - tris[:, :, 2])
+        cut = tris + s[:, :, None] * (nxt - tris)
+    corners = np.concatenate([tris, cut], axis=1)
+    n_pieces = _CLIP_PIECES[pattern]
+    source = np.repeat(np.arange(len(tris)), n_pieces)
+    k = np.arange(len(source)) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+    return corners[source[:, None], _CLIP_FANS[pattern[source], k]], source
+
+
+# Fragments evaluated per batch of triangles, counted as bounding-box
+# pixels.  It caps the rasterizer's scratch memory whatever the overdraw; a
+# triangle whose box alone exceeds it forms a batch of its own.
+_FRAGMENT_BUDGET = 1 << 14
+
+# An edge narrows a row's span only when |dy| exceeds this fraction of the
+# largest product in its edge function over the bounding box.  Rounding then
+# moves the computed crossing by under 1e-6 pixel, far inside the one-pixel
+# margin; a flatter edge is left to the exact per-fragment test.
+_EDGE_SLOPE_FLOOR = 1e-9
+
+# vertex a and vertex b of the edge opposite vertex 0, 1 and 2
+_EDGE_A = [1, 2, 0]
+_EDGE_B = [2, 0, 1]
+
+
+def _rasterize(cam_tris, colors, width: int, height: int, focal_px: float,
                background: np.ndarray) -> np.ndarray:
-    img = np.empty((height, width, 3), dtype=float)
-    img[:] = background
-    zbuf = np.full((height, width), np.inf)
+    """Z-buffer a draw list of camera-space triangles, all at once.
 
-    cx, cy = width / 2.0, height / 2.0
-    for tri, color in zip(cam_tris, colors):
-        z = tri[:, 2]
-        px = cx + focal_px * tri[:, 0] / z
-        py = cy + focal_px * tri[:, 1] / z
+    Each triangle is split into pixel rows, each row gets a conservative
+    x-span from the triangle's edge functions (Pineda 1988), and every pixel
+    center in a span is tested with the exact edge functions.  Where
+    triangles overlap, a pixel takes the fragment with the lowest depth,
+    then the earliest triangle in the draw list; a depth of inf or NaN never
+    writes.  That is the result of drawing the triangles one by one with a
+    strict ``<`` depth test, bit for bit.
+    """
+    tris = np.asarray(cam_tris, dtype=float).reshape(-1, 3, 3)
+    n = len(tris)
+    # edge-major (3, n) arrays: row k holds vertex k of every triangle
+    z = tris[:, :, 2].T
+    px = width / 2.0 + focal_px * tris[:, :, 0].T / z
+    py = height / 2.0 + focal_px * tris[:, :, 1].T / z
 
-        x_lo = max(int(math.floor(px.min() - 0.5)), 0)
-        x_hi = min(int(math.ceil(px.max() + 0.5)), width - 1)
-        y_lo = max(int(math.floor(py.min() - 0.5)), 0)
-        y_hi = min(int(math.ceil(py.max() + 0.5)), height - 1)
-        if x_lo > x_hi or y_lo > y_hi:
-            continue
+    x_lo = np.maximum(np.floor(px.min(axis=0) - 0.5), 0.0)
+    x_hi = np.minimum(np.ceil(px.max(axis=0) + 0.5), width - 1)
+    y_lo = np.maximum(np.floor(py.min(axis=0) - 0.5), 0.0)
+    y_hi = np.minimum(np.ceil(py.max(axis=0) + 0.5), height - 1)
+    area = (px[1] - px[0]) * (py[2] - py[0]) - (py[1] - py[0]) * (px[2] - px[0])
+    drawn = np.flatnonzero((x_lo <= x_hi) & (y_lo <= y_hi) & (np.abs(area) >= 1e-12))
 
-        xs = np.arange(x_lo, x_hi + 1) + 0.5
-        ys = np.arange(y_lo, y_hi + 1) + 0.5
-        gx, gy = np.meshgrid(xs, ys)
+    # owner n is the background
+    zbuf = np.full(height * width, np.inf)
+    owner = np.full(height * width, n, dtype=np.int64)
+    box = (x_hi[drawn] - x_lo[drawn] + 1) * (y_hi[drawn] - y_lo[drawn] + 1)
+    box_end = np.cumsum(box)
+    start = 0
+    while start < len(drawn):
+        stop = int(np.searchsorted(box_end, box_end[start] - box[start] + _FRAGMENT_BUDGET,
+                                   side="right"))
+        batch = drawn[start:max(stop, start + 1)]
+        start += len(batch)
+        pix, depth, tri = _fragments(
+            batch, px[:, batch], py[:, batch], z[:, batch], area[batch],
+            x_lo[batch].astype(np.int64), x_hi[batch].astype(np.int64),
+            y_lo[batch].astype(np.int64), y_hi[batch].astype(np.int64), width)
+        # Each pixel keeps the lowest depth, then the earliest triangle
+        # reaching it.  Batches run in draw-list order, so on a tie with an
+        # earlier batch the earlier, lower owner survives the minimum.
+        before = zbuf[pix]
+        np.minimum.at(zbuf, pix, depth)
+        after = zbuf[pix]
+        owner[pix[after < before]] = n
+        wins = depth == after
+        np.minimum.at(owner, pix[wins], tri[wins])
 
-        def edge(ax, ay, bx, by):
-            return (bx - ax) * (gy - ay) - (by - ay) * (gx - ax)
+    palette = np.concatenate([np.asarray(colors, dtype=float).reshape(-1, 3),
+                              np.asarray(background, dtype=float).reshape(1, 3)])
+    return palette[owner].reshape(height, width, 3)
 
-        w0 = edge(px[1], py[1], px[2], py[2])
-        w1 = edge(px[2], py[2], px[0], py[0])
-        w2 = edge(px[0], py[0], px[1], py[1])
-        area = (px[1] - px[0]) * (py[2] - py[0]) - (py[1] - py[0]) * (px[2] - px[0])
-        if abs(area) < 1e-12:
-            continue
-        if area < 0.0:
-            w0, w1, w2, area = -w0, -w1, -w2, -area
 
-        mask = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
-        if not mask.any():
-            continue
+def _fragments(tri_ids, px, py, z, area, x_lo, x_hi, y_lo, y_hi, width: int):
+    """Covered fragments of a batch: flat pixel index, depth and triangle id.
 
-        # perspective-correct depth: interpolate 1/z with screen barycentrics
-        inv_z = (w0 / z[0] + w1 / z[1] + w2 / z[2]) / area
-        depth = 1.0 / inv_z
+    Vertex arrays are edge-major (3, n).  Only fragments with a finite
+    depth are returned; the rest never write.
+    """
+    ax, ay = px[_EDGE_A], py[_EDGE_A]
+    dx = px[_EDGE_B] - ax   # (3, n): one row per edge function
+    dy = py[_EDGE_B] - ay
+    sign = np.where(area < 0.0, -1.0, 1.0)
 
-        tile_z = zbuf[y_lo:y_hi + 1, x_lo:x_hi + 1]
-        update = mask & (depth < tile_z)
-        tile_z[update] = depth[update]
-        tile_img = img[y_lo:y_hi + 1, x_lo:x_hi + 1]
-        tile_img[update] = color
+    # rows: one per pixel row of each bounding box
+    n_rows = y_hi - y_lo + 1
+    row_tri = np.repeat(np.arange(len(tri_ids)), n_rows)
+    row_y = y_lo[row_tri] + np.arange(len(row_tri)) - np.repeat(np.cumsum(n_rows) - n_rows,
+                                                                n_rows)
+    row_term = dx[:, row_tri] * (row_y + 0.5 - ay[:, row_tri])
 
-    return img
+    # Edge e holds where sign * (row_term - dy * (gx - ax)) >= 0: gx on one
+    # side of ax + row_term / dy.  Allow one pixel either way.
+    scale = (np.abs(dx) * np.maximum(np.abs(y_lo + 0.5 - ay), np.abs(y_hi + 0.5 - ay))
+             + np.abs(dy) * np.maximum(np.abs(x_lo + 0.5 - ax), np.abs(x_hi + 0.5 - ax)))
+    bounded = np.abs(dy) > _EDGE_SLOPE_FLOOR * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = ax[:, row_tri] + row_term / dy[:, row_tri]
+    upper = (bounded & (sign * dy > 0.0))[:, row_tri]
+    lower = (bounded & (sign * dy < 0.0))[:, row_tri]
+    span_hi = np.minimum(np.where(upper, np.floor(crossing + 0.5), np.inf).min(axis=0),
+                         x_hi[row_tri])
+    span_lo = np.maximum(np.where(lower, np.ceil(crossing - 1.5), -np.inf).max(axis=0),
+                         x_lo[row_tri])
+    span = np.maximum(span_hi - span_lo + 1.0, 0.0).astype(np.int64)
+
+    # fragments: every pixel of every span, each with its row's values
+    per_row = np.concatenate([
+        ax[:, row_tri], dy[:, row_tri], row_term, z[:, row_tri],
+        [sign[row_tri], np.abs(area)[row_tri], tri_ids[row_tri],
+         np.cumsum(span) - span - span_lo, row_y * width]])
+    f = np.repeat(per_row, span, axis=1)
+    w, f_dy, f_row_term, f_z = f[0:3], f[3:6], f[6:9], f[9:12]
+    f_sign, f_area, f_tri, f_offset, f_row_start = f[12:]
+    col = np.arange(f.shape[1]) - f_offset
+    np.subtract(col + 0.5, w, out=w)   # w held ax
+    w *= f_dy
+    np.subtract(f_row_term, w, out=w)
+    w *= f_sign
+    inside = (w[0] >= 0.0) & (w[1] >= 0.0) & (w[2] >= 0.0)
+
+    # perspective-correct depth: interpolate 1/z with screen barycentrics
+    w /= f_z
+    depth = w[0] + w[1]
+    depth += w[2]
+    depth /= f_area
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, depth, out=depth)
+    keep = np.flatnonzero(inside & (depth < np.inf))
+    pix = (col[keep] + f_row_start[keep]).astype(np.int64)
+    return pix, depth[keep], f_tri[keep].astype(np.int64)
 
 
 def _background_color(env: EnvSpec) -> np.ndarray:
@@ -239,11 +352,17 @@ def render_frame(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
     return Frame(width=width, height=height, pixels=pixels)
 
 
+@functools.lru_cache(maxsize=8)
+def _room(scene_color: tuple) -> Mesh:
+    """The room of one ``scene_color``, built once (Mesh arrays are read-only)."""
+    return room_box(scene_color, ROOM_HALF_EXTENT)
+
+
 def _render_float(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
                   env: EnvSpec, width: int, height: int) -> np.ndarray:
     scene = mesh
     if env.scene_type is SceneType.BASIC:
-        room = room_box(env.scene_color, ROOM_HALF_EXTENT)
+        room = _room(tuple(env.scene_color))
         scene = Mesh(
             np.concatenate([mesh.vertices, room.vertices]),
             np.concatenate([mesh.triangles, room.triangles + len(mesh.vertices)]),
@@ -253,16 +372,13 @@ def _render_float(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
     shaded, facing = shaded_triangle_colors(scene, camera.position, lighting)
     shaded = np.clip(shaded, 0.0, 1.0)
 
+    # draw list: the pieces of the facing triangles, in mesh order
     cam_space = (scene.vertices - camera.position) @ camera.rotation.T
-    cam_tris, colors = [], []
-    for ti in np.nonzero(facing)[0]:
-        tri = cam_space[scene.triangles[ti]]
-        for clipped in _clip_near(tri):
-            cam_tris.append(clipped)
-            colors.append(shaded[ti])
+    facing_ids = np.flatnonzero(facing)
+    cam_tris, source = _clip_near(cam_space[scene.triangles[facing_ids]])
 
     focal_px = camera.focal_mm * height / camera.sensor_height_mm
-    return _rasterize(cam_tris, colors, width, height, focal_px,
+    return _rasterize(cam_tris, shaded[facing_ids[source]], width, height, focal_px,
                       _background_color(env))
 
 

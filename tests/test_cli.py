@@ -171,3 +171,24 @@ def test_evaluate_tracks_file(tmp_path, capsys):
     assert run("evaluate", "--tracks", str(path)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n_points"] == len(tracks)
+
+
+def test_build_manifest_missing_pool_directory_exits_1(tmp_path, capsys):
+    real = tmp_path / "real"
+    real.mkdir()
+    missing = tmp_path / "no-such-pool"
+    assert run("build-manifest", "--syn", str(missing), "--real", str(real),
+               "--ratio", "0.5", "--steps", "10") == 1
+    assert f"error: pool directory not found: {missing}" in capsys.readouterr().err
+
+
+def test_verbose_prints_the_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert run("caption", "--config", missing) == 1
+    quiet = capsys.readouterr().err
+    assert quiet.startswith("error: ") and "Traceback" not in quiet
+    assert run("--verbose", "caption", "--config", missing) == 1
+    verbose = capsys.readouterr().err
+    assert verbose.startswith("Traceback (most recent call last):")
+    assert "FileNotFoundError" in verbose
+    assert verbose.endswith(quiet)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from synthvid.captioner import ComposedCaption, CaptionDomain, real_caption
@@ -133,3 +135,10 @@ def test_pool_dir_loading(tmp_path):
             json.dumps({"uri": uri, "caption": caption.to_json_dict()}))
     pool = load_pool_dir(tmp_path)
     assert pool == SYN_POOL[:3]
+
+
+def test_load_pool_dir_rejects_missing_directory(tmp_path):
+    missing = tmp_path / "nope"
+    with pytest.raises(FileNotFoundError, match=re.escape(f"pool directory not found: {missing}")):
+        load_pool_dir(missing)
+    assert load_pool_dir(tmp_path) == []

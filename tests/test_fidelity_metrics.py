@@ -242,3 +242,26 @@ def test_tracks_json_round_trip():
     after = recon_metrics(loaded)
     assert after.n_points == before.n_points
     assert after.reproj_error == pytest.approx(before.reproj_error, rel=1e-12)
+
+
+def test_track_behind_a_camera_is_dropped():
+    # three cameras at y = -5 looking at the origin: the point triangulated
+    # from these pixels lies behind at least one of them
+    from synthvid.camera_rig import CameraTrajectory, PinholeCamera, look_at
+
+    positions = [(2.66, -5.0, 0.15), (-2.28, -5.0, -0.08), (4.67, -5.0, 2.6)]
+    cams = tuple(PinholeCamera(position=np.array(p), rotation=look_at(p, (0.0, 0.0, 0.0)),
+                               focal_mm=20.0) for p in positions)
+    traj = CameraTrajectory(frames=cams, focus_history=np.zeros((3, 3)))
+    behind = Track(point_id=0, frames=[0, 1, 2], pixels=[[60.0, 60.0], [100.0, 60.0],
+                                                          [160.0, 60.0]])
+    point = triangulate(behind, traj, W, H)
+    assert any(project_point(cam, point, W, H).behind for cam in cams)
+
+    good = _exact_track(traj, np.array([0.2, 0.3, -0.1]), [0, 1, 2], point_id=1)
+    metrics = recon_metrics(FeatureTrackSet((behind, good), traj, W, H))
+    assert metrics.n_points == 1
+    assert metrics.mean_track_length == 3.0
+    assert np.isfinite(metrics.reproj_error) and metrics.reproj_error < 1e-6
+    assert metrics.reproj_error_top1000 == metrics.reproj_error
+    assert metrics_to_json_dict(metrics)["reproj_error_px"] is not None
