@@ -39,7 +39,7 @@ from .fidelity_metrics import (
 from .flowlab import ToyDataset, TrainConfig, VelocityModel, flow_match_loss, integrate, train
 from .guidance import GuidanceParams, run_simdrop_experiment
 from .meshes import Mesh, builtin_mesh, load_obj
-from .micro_renderer import Frame, project_point, render_frame, render_video
+from .micro_renderer import Frame, render_frame, render_video
 from .param_sampler import DistributionPreset, PresetLibrary, sample_batch, sample_config
 from .scene_config import SceneConfig, decode_config, encode_config, validate_config
 

@@ -1,4 +1,9 @@
-"""Per-frame pinhole camera trajectories realized from a camera spec.
+"""The pinhole camera model and per-frame trajectories realized from a camera spec.
+
+:class:`PinholeCamera` is the one camera model of the package: the
+renderer, the track generator and the triangulator all project through it,
+and :func:`trajectory_to_json` / :func:`trajectory_from_json` are the one
+camera serializer.
 
 Conventions:
 
@@ -6,6 +11,13 @@ Conventions:
   (usually the origin),
 * camera space is x-right, y-down, z-forward; ``rotation`` maps world
   coordinates into camera coordinates (p_cam = R @ (p_world - position)),
+* the focal length in pixels is ``focal_mm * height / sensor_height_mm``
+  (the sensor height spans the image height); the principal point is the
+  image center, so a camera-space point lands at
+  ``(width/2 + f * x/z, height/2 + f * y/z)``, the dehomogenized
+  ``K @ [R | -R @ position]``; pixel (i, j) covers [i, i+1) x [j, j+1),
+* a point with depth z <= 0 is at or behind the camera plane and has no
+  image,
 * rotational sweep angles are the total degrees over the clip; positive
   Tilt raises the view toward world up, positive Pan turns it left,
   positive Spin orbits counterclockwise seen from above,
@@ -44,6 +56,8 @@ __all__ = [
     "look_at",
     "object_center_at",
     "rotation_about_axis",
+    "trajectory_from_json",
+    "trajectory_to_json",
 ]
 
 WORLD_UP = np.array([0.0, 0.0, 1.0])
@@ -90,6 +104,40 @@ class PinholeCamera:
         rot.flags.writeable = False
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "rotation", rot)
+
+    def focal_px(self, height: int) -> float:
+        """Focal length in pixels for an image ``height`` pixels tall."""
+        return self.focal_mm * height / self.sensor_height_mm
+
+    def project(self, points, width: int, height: int):
+        """Project world points into a ``width`` x ``height`` image.
+
+        Returns ``(xy (N, 2), depth (N,), behind (N,) bool)``.  Points at or
+        behind the camera plane are flagged and get NaN coordinates.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 3)
+        cam_space = (pts - self.position) @ self.rotation.T
+        depth = cam_space[:, 2]
+        behind = depth <= 0.0
+        focal_px = self.focal_px(height)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = width / 2.0 + focal_px * cam_space[:, 0] / depth
+            y = height / 2.0 + focal_px * cam_space[:, 1] / depth
+        xy = np.stack([x, y], axis=1)
+        xy[behind] = np.nan
+        return xy, depth, behind
+
+    def projection_matrix(self, width: int, height: int) -> np.ndarray:
+        """The 3x4 matrix ``K @ [R | -R @ position]`` of :meth:`project`."""
+        focal_px = self.focal_px(height)
+        k = np.array([
+            [focal_px, 0.0, width / 2.0],
+            [0.0, focal_px, height / 2.0],
+            [0.0, 0.0, 1.0],
+        ])
+        rt = np.concatenate([self.rotation, -(self.rotation @ self.position)[:, None]],
+                            axis=1)
+        return k @ rt
 
     @property
     def right(self) -> np.ndarray:
@@ -231,9 +279,13 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
         return target0
 
     p0 = np.asarray(cam.initial_position, dtype=float)
+    distance = float(np.linalg.norm(p0 - target0))
+    if not (distance > object_radius):
+        raise ConfigConflictError(
+            f"camera.initial_position {tuple(cam.initial_position)} lies {distance:g} from "
+            f"the focus target, within the object's bounding radius {object_radius:g}")
     base_rot = look_at(p0, target0)
-    base_focal = focal_from_coverage(
-        object_radius, float(np.linalg.norm(p0 - target0)), cam.coverage)
+    base_focal = focal_from_coverage(object_radius, distance, cam.coverage)
 
     move = cam.movement_type
     value = cam.movement_value
@@ -298,3 +350,86 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
         for k in range(n)
     )
     return CameraTrajectory(frames=frames, focus_history=np.stack(targets))
+
+
+# ---------------------------------------------------------------------------
+# camera JSON
+
+
+def trajectory_to_json(traj: CameraTrajectory) -> dict:
+    """The ``cameras`` and ``focus_history`` records of a trajectory."""
+    return {
+        "cameras": [
+            {
+                "rotation": [float(x) for x in c.rotation.ravel()],  # row-major
+                "position": [float(x) for x in c.position],
+                "focal_mm": c.focal_mm,
+                "sensor_height_mm": c.sensor_height_mm,
+            }
+            for c in traj.frames
+        ],
+        "focus_history": [[float(x) for x in row] for row in traj.focus_history],
+    }
+
+
+def trajectory_from_json(doc: dict, source: str) -> CameraTrajectory:
+    """Inverse of :func:`trajectory_to_json`; other keys of ``doc`` are ignored.
+
+    A missing, mistyped or invalid field raises ``ValueError`` naming
+    ``source`` and the field path.
+    """
+    frames = []
+    for i, rec in enumerate(_json_list(doc, "cameras", source)):
+        path = f"cameras[{i}]"
+        position = _json_array(rec, "position", (3,), source, path)
+        rotation = _json_array(rec, "rotation", (9,), source, path).reshape(3, 3)
+        focal_mm = _json_number(rec, "focal_mm", source, path)
+        sensor_height_mm = _json_number(rec, "sensor_height_mm", source, path)
+        try:
+            frames.append(PinholeCamera(position=position, rotation=rotation,
+                                        focal_mm=focal_mm, sensor_height_mm=sensor_height_mm))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {path}: {exc}") from None
+    history = _json_array(doc, "focus_history", (len(frames), 3), source)
+    return CameraTrajectory(frames=tuple(frames), focus_history=history)
+
+
+def _json_field(obj, key: str, source: str, path: str = ""):
+    """``(obj[key], field path)``; ``ValueError`` naming ``source`` and the path."""
+    field = f"{path}.{key}" if path else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"{source}: {path or 'document'}: expected a JSON object")
+    if key not in obj:
+        raise ValueError(f"{source}: {field}: missing")
+    return obj[key], field
+
+
+def _json_list(obj, key: str, source: str) -> list:
+    value, field = _json_field(obj, key, source)
+    if not isinstance(value, list):
+        raise ValueError(f"{source}: {field}: expected a list")
+    return value
+
+
+def _json_number(obj, key: str, source: str, path: str = "", integer: bool = False):
+    """``obj[key]`` as given, checked to be an integer or any number."""
+    value, field = _json_field(obj, key, source, path)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{source}: {field}: expected {'an integer' if integer else 'a number'}")
+    return value
+
+
+def _json_array(obj, key: str, shape: tuple, source: str, path: str = "") -> np.ndarray:
+    """``obj[key]`` as a float array of ``shape``; -1 matches any length."""
+    value, field = _json_field(obj, key, source, path)
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.shape == (0,) and len(shape) > 1:
+        arr = arr.reshape((0,) + shape[1:])
+    if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
+            or any(n not in (-1, m) for n, m in zip(shape, arr.shape))):
+        dims = " x ".join("n" if n < 0 else str(n) for n in shape)
+        raise ValueError(f"{source}: {field}: expected a {dims} array of numbers")
+    return arr.astype(float, copy=False)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import captioner, dataset_mixer, fidelity_metrics, flowlab, guidance
-from .camera_rig import generate_trajectory
+from .camera_rig import generate_trajectory, trajectory_to_json
 from .meshes import bounding_sphere, builtin_mesh, load_obj, uv_sphere
 from .micro_renderer import emit_engine_script, render_video, write_ppm
 from .param_sampler import PresetLibrary, decode_preset, sample_batch
@@ -77,19 +77,7 @@ def _cmd_trajectory(args) -> int:
     cfg = _load_config(args.config)
     center, radius = bounding_sphere(_resolve_mesh(cfg, args.mesh))
     trajectory = generate_trajectory(cfg, center, radius)
-    doc = {
-        "schema": 1,
-        "n_frames": len(trajectory),
-        "frames": [
-            {
-                "rotation": [float(x) for x in cam.rotation.ravel()],  # row-major
-                "position": [float(x) for x in cam.position],
-                "focal_mm": cam.focal_mm,
-            }
-            for cam in trajectory.frames
-        ],
-        "focus_history": [[float(x) for x in row] for row in trajectory.focus_history],
-    }
+    doc = {"schema": 1, "n_frames": len(trajectory), **trajectory_to_json(trajectory)}
     _write_json(args.out, doc)
     print(f"wrote {len(trajectory)}-frame trajectory to {args.out}")
     return 0

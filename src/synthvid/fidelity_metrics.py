@@ -26,9 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera_rig import CameraTrajectory, PinholeCamera
+from .camera_rig import (
+    CameraTrajectory,
+    _json_array,
+    _json_list,
+    _json_number,
+    trajectory_from_json,
+    trajectory_to_json,
+)
 from .meshes import Mesh
-from .micro_renderer import project_points
 
 __all__ = [
     "DegenerateGeometryError",
@@ -129,7 +135,7 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
     centroids = (a + verts[tris[:, 1]] + verts[tris[:, 2]]) / 3.0
 
     for k, camera in enumerate(trajectory.frames):
-        xy, depth, behind = project_points(camera, verts, width, height)
+        xy, depth, behind = camera.project(verts, width, height)
         in_frame = (~behind) & (xy[:, 0] >= 0.0) & (xy[:, 0] < width) \
             & (xy[:, 1] >= 0.0) & (xy[:, 1] < height)
 
@@ -161,18 +167,6 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
 # triangulation
 
 
-def _projection_matrix(camera: PinholeCamera, width: int, height: int) -> np.ndarray:
-    focal_px = camera.focal_mm * height / camera.sensor_height_mm
-    k = np.array([
-        [focal_px, 0.0, width / 2.0],
-        [0.0, focal_px, height / 2.0],
-        [0.0, 0.0, 1.0],
-    ])
-    rt = np.concatenate([camera.rotation, -(camera.rotation @ camera.position)[:, None]],
-                        axis=1)
-    return k @ rt
-
-
 def triangulate(track: Track, cameras: CameraTrajectory,
                 width: int, height: int) -> np.ndarray:
     """Linear least-squares (DLT) 3D point from all observing frames.
@@ -192,7 +186,7 @@ def triangulate(track: Track, cameras: CameraTrajectory,
 
     rows = []
     for camera, (u, v) in zip(frames, track.pixels):
-        p = _projection_matrix(camera, width, height)
+        p = camera.projection_matrix(width, height)
         rows.append(u * p[2] - p[0])
         rows.append(v * p[2] - p[1])
     design = np.stack(rows)
@@ -253,8 +247,8 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
             continue
         residuals = np.empty(len(track))
         for i, (k, observed) in enumerate(zip(track.frames, track.pixels)):
-            xy, _, behind = project_points(track_set.cameras.frames[k], point,
-                                           track_set.width, track_set.height)
+            xy, _, behind = track_set.cameras.frames[k].project(point, track_set.width,
+                                                                track_set.height)
             if behind[0]:
                 break
             residuals[i] = np.linalg.norm(xy[0] - observed)
@@ -313,16 +307,7 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
         "schema": 1,
         "width": track_set.width,
         "height": track_set.height,
-        "cameras": [
-            {
-                "rotation": [float(x) for x in c.rotation.ravel()],  # row-major
-                "position": [float(x) for x in c.position],
-                "focal_mm": c.focal_mm,
-                "sensor_height_mm": c.sensor_height_mm,
-            }
-            for c in track_set.cameras.frames
-        ],
-        "focus_history": [[float(x) for x in row] for row in track_set.cameras.focus_history],
+        **trajectory_to_json(track_set.cameras),
         "tracks": [
             {
                 "point_id": t.point_id,
@@ -339,36 +324,41 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def tracks_from_json(text: str) -> FeatureTrackSet:
-    doc = json.loads(text)
-    if doc.get("schema") != 1:
-        raise ValueError("track set: expected a schema-1 document")
-    cameras = tuple(
-        PinholeCamera(
-            position=np.asarray(c["position"], dtype=float),
-            rotation=np.asarray(c["rotation"], dtype=float).reshape(3, 3),
-            focal_mm=c["focal_mm"],
-            sensor_height_mm=c.get("sensor_height_mm", 24.0),
-        )
-        for c in doc["cameras"]
-    )
-    trajectory = CameraTrajectory(
-        frames=cameras,
-        focus_history=np.asarray(doc.get("focus_history",
-                                         [[0.0, 0.0, 0.0]] * len(cameras)), dtype=float),
-    )
+def tracks_from_json(text: str, source: str = "track set") -> FeatureTrackSet:
+    """Parse a schema-1 track set.
+
+    Malformed JSON, a missing or mistyped field, an observation of a frame
+    outside the camera list and a ``focus_history`` whose length differs
+    from the camera count raise ``ValueError`` naming ``source`` and the
+    field path.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
+        raise ValueError(f"{source}: expected a schema-1 document")
+    width = _json_number(doc, "width", source, integer=True)
+    height = _json_number(doc, "height", source, integer=True)
+    cameras = trajectory_from_json(doc, source)
+    n_cameras = len(cameras)
     tracks = []
-    for t in doc["tracks"]:
-        obs = t["observations"]
-        tracks.append(Track(
-            point_id=t["point_id"],
-            frames=np.asarray([o[0] for o in obs], dtype=int),
-            pixels=np.asarray([[o[1], o[2]] for o in obs], dtype=float),
-            true_point=None if t.get("true_point") is None
-                       else np.asarray(t["true_point"], dtype=float),
-        ))
-    return FeatureTrackSet(tracks=tuple(tracks), cameras=trajectory,
-                           width=doc["width"], height=doc["height"])
+    for j, t in enumerate(_json_list(doc, "tracks", source)):
+        path = f"tracks[{j}]"
+        obs = _json_array(t, "observations", (-1, 3), source, path)
+        frames = obs[:, 0]
+        bad = ~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames))
+        if bad.any():
+            raise ValueError(f"{source}: {path}.observations: frame index {frames[bad][0]:g} "
+                             f"is not an integer in [0, {n_cameras})")
+        point_id = _json_number(t, "point_id", source, path, integer=True)
+        true_point = None if t.get("true_point") is None \
+            else _json_array(t, "true_point", (3,), source, path)
+        try:
+            tracks.append(Track(point_id, frames.astype(int), obs[:, 1:], true_point))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {path}: {exc}") from None
+    return FeatureTrackSet(tracks=tuple(tracks), cameras=cameras, width=width, height=height)
 
 
 def write_tracks(track_set: FeatureTrackSet, path) -> None:
@@ -376,4 +366,4 @@ def write_tracks(track_set: FeatureTrackSet, path) -> None:
 
 
 def read_tracks(path) -> FeatureTrackSet:
-    return tracks_from_json(Path(path).read_text())
+    return tracks_from_json(Path(path).read_text(), source=str(path))

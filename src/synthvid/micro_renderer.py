@@ -3,8 +3,9 @@
 The renderer is deliberately small: Lambertian flat shading, no shadows,
 no textures, back-face culling on, near-plane clipping so room interiors
 stay intact.  It exists to give the pipeline geometrically exact frames,
-not pretty ones.  Pixel (i, j) covers [i, i+1) x [j, j+1); coverage is
-sampled at pixel centers.
+not pretty ones.  Triangles are projected with the pinhole model and
+pixel conventions of :class:`~synthvid.camera_rig.PinholeCamera`; coverage
+is sampled at pixel centers.
 
 A frame's triangles are clipped and rasterized together: a span
 rasterizer gives each pixel row of each triangle a conservative x-span and
@@ -22,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +41,9 @@ from .scene_config import (
 
 __all__ = [
     "Frame",
-    "Projection",
     "animate_mesh",
     "emit_engine_script",
     "frame_sha256",
-    "project_point",
-    "project_points",
     "read_ppm",
     "render_frame",
     "render_video",
@@ -73,40 +70,6 @@ class Frame:
         px = px.copy()
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
-
-
-class Projection(NamedTuple):
-    x: float
-    y: float
-    depth: float
-    behind: bool
-
-
-def project_points(camera: PinholeCamera, points: np.ndarray,
-                   width: int, height: int):
-    """Pinhole-project world points.
-
-    Returns ``(xy (N, 2), depth (N,), behind (N,) bool)``.  Focal length in
-    pixels is ``focal_mm * height / sensor_height_mm``; the principal point
-    is the image center.  Points at or behind the camera plane are flagged
-    and get NaN coordinates.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    cam_space = (pts - camera.position) @ camera.rotation.T
-    depth = cam_space[:, 2]
-    behind = depth <= 0.0
-    focal_px = camera.focal_mm * height / camera.sensor_height_mm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = width / 2.0 + focal_px * cam_space[:, 0] / depth
-        y = height / 2.0 + focal_px * cam_space[:, 1] / depth
-    xy = np.stack([x, y], axis=1)
-    xy[behind] = np.nan
-    return xy, depth, behind
-
-
-def project_point(camera: PinholeCamera, point, width: int, height: int) -> Projection:
-    xy, depth, behind = project_points(camera, np.asarray(point, dtype=float), width, height)
-    return Projection(float(xy[0, 0]), float(xy[0, 1]), float(depth[0]), bool(behind[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +340,8 @@ def _render_float(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
     facing_ids = np.flatnonzero(facing)
     cam_tris, source = _clip_near(cam_space[scene.triangles[facing_ids]])
 
-    focal_px = camera.focal_mm * height / camera.sensor_height_mm
-    return _rasterize(cam_tris, shaded[facing_ids[source]], width, height, focal_px,
-                      _background_color(env))
+    return _rasterize(cam_tris, shaded[facing_ids[source]], width, height,
+                      camera.focal_px(height), _background_color(env))
 
 
 def animate_mesh(mesh: Mesh, animation, center, t_seconds: float) -> Mesh:

@@ -11,7 +11,6 @@ from synthvid.camera_rig import (
     generate_trajectory,
     look_at,
 )
-from synthvid.micro_renderer import project_point
 from synthvid.scene_config import FocusPosition, FocusType, MovementType, ObjectAnimation
 
 from conftest import make_config
@@ -117,6 +116,15 @@ def test_tilt_with_follow_focus_conflicts():
                     focus_type=FocusType.FOLLOW)
 
 
+def test_camera_inside_bounding_radius_conflicts():
+    # the focus target is the unit sphere's center; a camera 0.5 from it
+    # sits inside the object, so no focal length gives the coverage
+    with pytest.raises(ConfigConflictError,
+                       match=r"^camera\.initial_position \(0\.0, -0\.5, 0\.0\) lies 0\.5 "
+                             r"from the focus target, within the object's bounding radius 1$"):
+        _trajectory(initial_position=(0.0, -0.5, 0.0))
+
+
 def test_tilt_rotates_about_right_axis():
     traj = _trajectory(movement_type=MovementType.TILT, movement_value=30.0,
                        focus_type=FocusType.FIXED, n_frames=7)
@@ -179,10 +187,10 @@ def test_follow_focus_projects_to_principal_point():
                       focus_position=FocusPosition.UPPER, n_frames=30)
     traj = generate_trajectory(cfg, CENTER, RADIUS)
     for frame, target in zip(traj.frames, traj.focus_history):
-        projected = project_point(frame, target, 160, 120)
-        assert not projected.behind
-        assert abs(projected.x - 80.0) < 1e-6
-        assert abs(projected.y - 60.0) < 1e-6
+        xy, _, behind = frame.project(target, 160, 120)
+        assert not behind[0]
+        assert abs(xy[0, 0] - 80.0) < 1e-6
+        assert abs(xy[0, 1] - 60.0) < 1e-6
 
 
 def test_all_movements_yield_orthonormal_rotations(rng):
@@ -212,3 +220,28 @@ def test_pinhole_camera_rejects_reflection():
     flipped = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         PinholeCamera(position=np.zeros(3), rotation=flipped, focal_mm=50.0)
+
+
+def test_projection_matrix_agrees_with_project(rng):
+    # one model, two forms: dehomogenized P @ [X, 1] equals project(X)
+    width, height = 160, 120
+    for _ in range(6):
+        position = rng.uniform(-8.0, 8.0, 3)
+        camera = PinholeCamera(position=position,
+                               rotation=look_at(position, rng.uniform(-1.0, 1.0, 3)),
+                               focal_mm=rng.uniform(15.0, 80.0),
+                               sensor_height_mm=rng.uniform(10.0, 36.0))
+        cam_space = np.column_stack([rng.uniform(-2.0, 2.0, (200, 2)),
+                                     rng.uniform(0.5, 20.0, 200)])
+        points = position + cam_space @ camera.rotation
+        xy, depth, behind = camera.project(points, width, height)
+        assert not behind.any() and (depth > 0.0).all()
+        homog = np.column_stack([points, np.ones(len(points))]) @ \
+            camera.projection_matrix(width, height).T
+        assert np.abs(homog[:, :2] / homog[:, 2:] - xy).max() < 1e-9
+
+        cam_space[:, 2] = -rng.uniform(1e-3, 20.0, 200)
+        points = np.vstack([position, position + cam_space @ camera.rotation])
+        xy, depth, behind = camera.project(points, width, height)
+        assert behind.all() and depth[0] == 0.0
+        assert np.isnan(xy).all()

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from synthvid.camera_rig import generate_trajectory, trajectory_from_json
 from synthvid.cli import main
 from synthvid.flowlab import TOY_COND_DIM, VelocityModel, save_checkpoint
+from synthvid.meshes import bounding_sphere, builtin_mesh
 from synthvid.micro_renderer import read_ppm
 from synthvid.scene_config import decode_config
 
@@ -57,8 +60,18 @@ def test_trajectory_subcommand(tmp_path, config_file, capsys):
     doc = json.loads(out.read_text())
     cfg = decode_config(config_file.read_text())
     assert doc["n_frames"] == cfg.n_frames
-    assert len(doc["frames"]) == cfg.n_frames
-    assert len(doc["frames"][0]["rotation"]) == 9
+    assert len(doc["cameras"]) == cfg.n_frames
+    assert len(doc["cameras"][0]["rotation"]) == 9
+    # the file holds the same camera records as a track file, bit for bit
+    expected = generate_trajectory(cfg, *bounding_sphere(builtin_mesh(cfg.object_ref)))
+    loaded = trajectory_from_json(doc, str(out))
+    assert len(loaded) == len(expected)
+    for a, b in zip(loaded.frames, expected.frames):
+        assert np.array_equal(a.position, b.position)
+        assert np.array_equal(a.rotation, b.rotation)
+        assert a.focal_mm == b.focal_mm
+        assert a.sensor_height_mm == b.sensor_height_mm
+    assert np.array_equal(loaded.focus_history, expected.focus_history)
 
 
 def test_render_subcommand(tmp_path, config_file):
@@ -171,6 +184,21 @@ def test_evaluate_tracks_file(tmp_path, capsys):
     assert run("evaluate", "--tracks", str(path)) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n_points"] == len(tracks)
+
+
+def test_evaluate_bad_tracks_file_names_file_and_field(tmp_path, capsys):
+    from synthvid.fidelity_metrics import generate_tracks, tracks_to_json
+    from synthvid.meshes import uv_sphere
+    from conftest import make_config
+
+    mesh = uv_sphere()
+    traj = generate_trajectory(make_config(n_frames=8), *bounding_sphere(mesh))
+    doc = json.loads(tracks_to_json(generate_tracks(mesh, traj, 160, 120, 0.0, seed=1)))
+    del doc["cameras"][2]["focal_mm"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("evaluate", "--tracks", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {path}: cameras[2].focal_mm: missing\n"
 
 
 def test_build_manifest_missing_pool_directory_exits_1(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from synthvid.camera_rig import generate_trajectory
+from synthvid.camera_rig import CameraTrajectory, generate_trajectory
 from synthvid.fidelity_metrics import (
     DegenerateGeometryError,
     EmptyTrackSetError,
@@ -12,13 +15,13 @@ from synthvid.fidelity_metrics import (
     generate_tracks,
     metrics_to_json_dict,
     pose_confidence,
+    read_tracks,
     recon_metrics,
     tracks_from_json,
     tracks_to_json,
     triangulate,
 )
 from synthvid.meshes import bounding_sphere, transformed, uv_sphere
-from synthvid.micro_renderer import project_point
 from synthvid.scene_config import FocusType, MovementType
 
 from conftest import make_config
@@ -44,10 +47,10 @@ def test_zero_noise_observations_equal_exact_projection():
     assert len(tracks) > 0
     for track in tracks.tracks[::17]:
         for frame_idx, observed in zip(track.frames, track.pixels):
-            p = project_point(traj.frames[frame_idx], track.true_point, W, H)
-            assert not p.behind
-            assert abs(p.x - observed[0]) < 1e-12
-            assert abs(p.y - observed[1]) < 1e-12
+            xy, _, behind = traj.frames[frame_idx].project(track.true_point, W, H)
+            assert not behind[0]
+            assert abs(xy[0, 0] - observed[0]) < 1e-12
+            assert abs(xy[0, 1] - observed[1]) < 1e-12
 
 
 def test_unseen_object_yields_empty_track_set():
@@ -92,10 +95,7 @@ def test_track_type_invariants():
 def test_two_orthogonal_views_recover_point():
     traj = _trajectory(MovementType.SPIN, 90.0, n_frames=2)
     point = np.array([0.3, 0.2, 0.4])
-    pixels = []
-    for cam in traj.frames:
-        p = project_point(cam, point, W, H)
-        pixels.append([p.x, p.y])
+    pixels = [cam.project(point, W, H)[0][0] for cam in traj.frames]
     track = Track(point_id=0, frames=[0, 1], pixels=pixels, true_point=point)
     recovered = triangulate(track, traj, W, H)
     assert np.abs(recovered - point).max() < 1e-9
@@ -121,10 +121,7 @@ def test_zero_noise_triangulation_matches_ground_truth():
 
 
 def _exact_track(traj, point, frames, point_id=0):
-    pixels = []
-    for k in frames:
-        p = project_point(traj.frames[k], point, W, H)
-        pixels.append([p.x, p.y])
+    pixels = [traj.frames[k].project(point, W, H)[0][0] for k in frames]
     return Track(point_id=point_id, frames=frames, pixels=pixels, true_point=point)
 
 
@@ -234,14 +231,117 @@ def test_reference_confidences_in_report():
 
 def test_tracks_json_round_trip():
     traj = _trajectory(MovementType.SPIN, 200.0, 12)
+    # a sensor height per camera, so a reader that drops the field shows
+    traj = CameraTrajectory(tuple(dataclasses.replace(c, sensor_height_mm=20.0 + 0.5 * k)
+                                  for k, c in enumerate(traj.frames)), traj.focus_history)
     tracks = generate_tracks(SPHERE, traj, W, H, 0.3, seed=3)
-    loaded = tracks_from_json(tracks_to_json(tracks))
-    assert loaded.width == tracks.width and loaded.height == tracks.height
+    text = tracks_to_json(tracks)
+    loaded = tracks_from_json(text)
+    assert tracks_to_json(loaded) == text
+    assert (loaded.width, loaded.height) == (tracks.width, tracks.height)
+    assert len(loaded.cameras) == len(tracks.cameras)
+    for a, b in zip(loaded.cameras.frames, tracks.cameras.frames):
+        assert np.array_equal(a.position, b.position)
+        assert np.array_equal(a.rotation, b.rotation)
+        assert a.focal_mm == b.focal_mm
+        assert a.sensor_height_mm == b.sensor_height_mm
+    assert np.array_equal(loaded.cameras.focus_history, tracks.cameras.focus_history)
     assert len(loaded) == len(tracks)
-    before = recon_metrics(tracks)
-    after = recon_metrics(loaded)
-    assert after.n_points == before.n_points
-    assert after.reproj_error == pytest.approx(before.reproj_error, rel=1e-12)
+    for a, b in zip(loaded.tracks, tracks.tracks):
+        assert a.point_id == b.point_id
+        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.true_point, b.true_point)
+    assert recon_metrics(loaded) == recon_metrics(tracks)
+
+
+def test_empty_track_set_round_trips():
+    empty = FeatureTrackSet((), CameraTrajectory((), np.zeros((0, 3))), W, H)
+    text = tracks_to_json(empty)
+    assert tracks_to_json(tracks_from_json(text)) == text
+
+
+def _track_doc():
+    traj = _trajectory(MovementType.SPIN, 90.0, n_frames=6)
+    return json.loads(tracks_to_json(generate_tracks(SPHERE, traj, W, H, 0.0, seed=1)))
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """A mutation that sets (or, with ``_DELETE``, removes) ``doc[path]``."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        if value is _DELETE:
+            del doc[last]
+        else:
+            doc[last] = value
+    return mutate
+
+
+BAD_TRACK_DOCS = {
+    "missing width": (_set(["width"], _DELETE), "width: missing"),
+    "mistyped height": (_set(["height"], "150"), "height: expected an integer"),
+    "missing camera rotation": (_set(["cameras", 1, "rotation"], _DELETE),
+                                "cameras[1].rotation: missing"),
+    "short camera rotation": (_set(["cameras", 1, "rotation"], [1.0] * 8),
+                              "cameras[1].rotation: expected a 9 array of numbers"),
+    "missing camera position": (_set(["cameras", 0, "position"], _DELETE),
+                                "cameras[0].position: missing"),
+    "mistyped camera position": (_set(["cameras", 0, "position"], ["0", "1", "2"]),
+                                 "cameras[0].position: expected a 3 array of numbers"),
+    "missing focal_mm": (_set(["cameras", 4, "focal_mm"], _DELETE),
+                         "cameras[4].focal_mm: missing"),
+    "mistyped focal_mm": (_set(["cameras", 4, "focal_mm"], None),
+                          "cameras[4].focal_mm: expected a number"),
+    "missing sensor_height_mm": (_set(["cameras", 5, "sensor_height_mm"], _DELETE),
+                                 "cameras[5].sensor_height_mm: missing"),
+    "camera not an object": (_set(["cameras", 2], [1, 2, 3]),
+                             "cameras[2]: expected a JSON object"),
+    "missing focus_history": (_set(["focus_history"], _DELETE), "focus_history: missing"),
+    "mistyped focus_history": (_set(["focus_history"], "none"),
+                               "focus_history: expected a 6 x 3 array of numbers"),
+    "short focus_history": (_set(["focus_history", slice(5, None)], []),
+                            "focus_history: expected a 6 x 3 array of numbers"),
+    "missing observations": (_set(["tracks", 3, "observations"], _DELETE),
+                             "tracks[3].observations: missing"),
+    "mistyped observations": (_set(["tracks", 3, "observations"], [[0, 1.0], [1, 2.0]]),
+                              "tracks[3].observations: expected a n x 3 array of numbers"),
+    "frame past the camera list": (_set(["tracks", 2, "observations", -1, 0], 6),
+                                   "tracks[2].observations: frame index 6 is not an integer "
+                                   "in [0, 6)"),
+    "negative frame": (_set(["tracks", 2, "observations", 0, 0], -1),
+                       "tracks[2].observations: frame index -1 is not an integer in [0, 6)"),
+    "fractional frame": (_set(["tracks", 2, "observations", 0, 0], 0.5),
+                         "tracks[2].observations: frame index 0.5 is not an integer in [0, 6)"),
+    "single observation": (_set(["tracks", 0, "observations", slice(1, None)], []),
+                           "tracks[0]: a track needs at least two observations"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_TRACK_DOCS))
+def test_bad_track_document_names_the_field(case):
+    mutate, message = BAD_TRACK_DOCS[case]
+    doc = _track_doc()
+    mutate(doc)
+    with pytest.raises(ValueError) as info:
+        tracks_from_json(json.dumps(doc))
+    assert str(info.value) == f"track set: {message}"
+
+
+def test_read_tracks_prefixes_the_file_path(tmp_path):
+    doc = _track_doc()
+    del doc["cameras"][3]["sensor_height_mm"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^.*bad\.json: cameras\[3\]\.sensor_height_mm: missing$"):
+        read_tracks(path)
+    path.write_text("{not json")
+    with pytest.raises(ValueError, match=r"bad\.json: Expecting property name"):
+        read_tracks(path)
 
 
 def test_track_behind_a_camera_is_dropped():
@@ -256,7 +356,7 @@ def test_track_behind_a_camera_is_dropped():
     behind = Track(point_id=0, frames=[0, 1, 2], pixels=[[60.0, 60.0], [100.0, 60.0],
                                                           [160.0, 60.0]])
     point = triangulate(behind, traj, W, H)
-    assert any(project_point(cam, point, W, H).behind for cam in cams)
+    assert any(cam.project(point, W, H)[2][0] for cam in cams)
 
     good = _exact_track(traj, np.array([0.2, 0.3, -0.1]), [0, 1, 2], point_id=1)
     metrics = recon_metrics(FeatureTrackSet((behind, good), traj, W, H))

@@ -7,7 +7,6 @@ from synthvid.micro_renderer import (
     Frame,
     emit_engine_script,
     frame_sha256,
-    project_point,
     read_ppm,
     render_frame,
     render_video,
@@ -44,17 +43,18 @@ def camera_at(position, target=(0.0, 0.0, 0.0), focal=40.0):
 
 def test_on_axis_point_projects_to_center():
     cam = camera_at((0.0, -5.0, 0.0))
-    p = project_point(cam, (0.0, 0.0, 0.0), W, H)
-    assert not p.behind
-    assert p.x == pytest.approx(W / 2.0, abs=1e-9)
-    assert p.y == pytest.approx(H / 2.0, abs=1e-9)
-    assert p.depth == pytest.approx(5.0, abs=1e-12)
+    xy, depth, behind = cam.project((0.0, 0.0, 0.0), W, H)
+    assert not behind[0]
+    assert xy[0, 0] == pytest.approx(W / 2.0, abs=1e-9)
+    assert xy[0, 1] == pytest.approx(H / 2.0, abs=1e-9)
+    assert depth[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_point_behind_camera_is_flagged():
     cam = camera_at((0.0, -5.0, 0.0))
-    p = project_point(cam, (0.0, -10.0, 0.0), W, H)
-    assert p.behind
+    xy, _, behind = cam.project((0.0, -10.0, 0.0), W, H)
+    assert behind[0]
+    assert np.isnan(xy[0]).all()
 
 
 def test_coverage_formula_matches_projection():
@@ -65,8 +65,8 @@ def test_coverage_formula_matches_projection():
     cam = PinholeCamera(position=np.array([0.0, -d, 0.0]),
                         rotation=look_at((0.0, -d, 0.0), (0.0, 0.0, 0.0)),
                         focal_mm=focal_from_coverage(r, d, c))
-    p = project_point(cam, np.array([r, 0.0, 0.0]), W, H)
-    assert p.x - W / 2.0 == pytest.approx(c * H / 2.0, abs=1e-6)
+    xy, _, _ = cam.project(np.array([r, 0.0, 0.0]), W, H)
+    assert xy[0, 0] - W / 2.0 == pytest.approx(c * H / 2.0, abs=1e-6)
 
 
 # -- rasterization --
@@ -146,12 +146,12 @@ def test_projected_vertex_lies_in_rasterized_footprint():
 
     facing = shaded_triangle_colors(mesh, cam.position, LIGHTING)[1]
     front_vertices = sorted(set(mesh.triangles[facing].ravel().tolist()))
-    for vid in front_vertices:
-        p = project_point(cam, mesh.vertices[vid], width, height)
-        assert not p.behind
-        ix, iy = int(p.x), int(p.y)
+    xy, _, behind = cam.project(mesh.vertices[front_vertices], width, height)
+    assert not behind.any()
+    for vid, (x, y) in zip(front_vertices, xy):
+        ix, iy = int(x), int(y)
         neighborhood = covered[max(iy - 1, 0):iy + 2, max(ix - 1, 0):ix + 2]
-        assert neighborhood.any(), f"vertex {vid} at ({p.x:.1f}, {p.y:.1f}) not covered"
+        assert neighborhood.any(), f"vertex {vid} at ({x:.1f}, {y:.1f}) not covered"
 
 
 def test_lighting_linearity_preclamp():
