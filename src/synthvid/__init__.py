@@ -13,6 +13,7 @@ from . import (
     fidelity_metrics,
     flowlab,
     guidance,
+    jsondoc,
     meshes,
     micro_renderer,
     param_sampler,

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsondoc
 from .scene_config import (
     AnimationKind,
     FocusPosition,
@@ -375,61 +376,19 @@ def trajectory_to_json(traj: CameraTrajectory) -> dict:
 def trajectory_from_json(doc: dict, source: str) -> CameraTrajectory:
     """Inverse of :func:`trajectory_to_json`; other keys of ``doc`` are ignored.
 
-    A missing, mistyped or invalid field raises ``ValueError`` naming
-    ``source`` and the field path.
+    A missing, mistyped or invalid field raises
+    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path.
     """
+    root = jsondoc.Field(doc, source)
     frames = []
-    for i, rec in enumerate(_json_list(doc, "cameras", source)):
-        path = f"cameras[{i}]"
-        position = _json_array(rec, "position", (3,), source, path)
-        rotation = _json_array(rec, "rotation", (9,), source, path).reshape(3, 3)
-        focal_mm = _json_number(rec, "focal_mm", source, path)
-        sensor_height_mm = _json_number(rec, "sensor_height_mm", source, path)
-        try:
-            frames.append(PinholeCamera(position=position, rotation=rotation,
-                                        focal_mm=focal_mm, sensor_height_mm=sensor_height_mm))
-        except ValueError as exc:
-            raise ValueError(f"{source}: {path}: {exc}") from None
-    history = _json_array(doc, "focus_history", (len(frames), 3), source)
+    for rec in root["cameras"].elements():
+        rec.object(("rotation", "position", "focal_mm", "sensor_height_mm"))
+        frames.append(rec.make(
+            PinholeCamera,
+            position=rec["position"].array((3,)),
+            rotation=rec["rotation"].array((9,)).reshape(3, 3),
+            focal_mm=rec["focal_mm"].number(),
+            sensor_height_mm=rec["sensor_height_mm"].number(),
+        ))
+    history = root["focus_history"].array((len(frames), 3))
     return CameraTrajectory(frames=tuple(frames), focus_history=history)
-
-
-def _json_field(obj, key: str, source: str, path: str = ""):
-    """``(obj[key], field path)``; ``ValueError`` naming ``source`` and the path."""
-    field = f"{path}.{key}" if path else key
-    if not isinstance(obj, dict):
-        raise ValueError(f"{source}: {path or 'document'}: expected a JSON object")
-    if key not in obj:
-        raise ValueError(f"{source}: {field}: missing")
-    return obj[key], field
-
-
-def _json_list(obj, key: str, source: str) -> list:
-    value, field = _json_field(obj, key, source)
-    if not isinstance(value, list):
-        raise ValueError(f"{source}: {field}: expected a list")
-    return value
-
-
-def _json_number(obj, key: str, source: str, path: str = "", integer: bool = False):
-    """``obj[key]`` as given, checked to be an integer or any number."""
-    value, field = _json_field(obj, key, source, path)
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ValueError(f"{source}: {field}: expected {'an integer' if integer else 'a number'}")
-    return value
-
-
-def _json_array(obj, key: str, shape: tuple, source: str, path: str = "") -> np.ndarray:
-    """``obj[key]`` as a float array of ``shape``; -1 matches any length."""
-    value, field = _json_field(obj, key, source, path)
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.shape == (0,) and len(shape) > 1:
-        arr = arr.reshape((0,) + shape[1:])
-    if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
-            or any(n not in (-1, m) for n, m in zip(shape, arr.shape))):
-        dims = " x ".join("n" if n < 0 else str(n) for n in shape)
-        raise ValueError(f"{source}: {field}: expected a {dims} array of numbers")
-    return arr.astype(float, copy=False)

@@ -13,10 +13,10 @@ real-footage captions never do.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import jsondoc
 from .scene_config import AnimationKind, SceneConfig
 
 __all__ = [
@@ -104,12 +104,14 @@ class ComposedCaption:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ComposedCaption":
+    def from_json_dict(cls, doc: jsondoc.Field) -> "ComposedCaption":
+        """Inverse of :meth:`to_json_dict`; only ``text`` is required."""
+        doc.object(("text",), ("tags", "negative_text", "domain"))
         return cls(
-            text=doc["text"],
-            tags=tuple(doc.get("tags", ())),
-            negative_text=doc.get("negative_text", ""),
-            domain=CaptionDomain(doc.get("domain", "Synthetic")),
+            text=doc["text"].string(),
+            tags=tuple(tag.string() for tag in doc.get("tags", []).elements()),
+            negative_text=doc.get("negative_text", "").string(),
+            domain=doc.get("domain", CaptionDomain.SYNTHETIC.value).enum(CaptionDomain),
         )
 
 
@@ -211,24 +213,20 @@ class CaptionRegistry:
         for (kind, element_id, gran), text in sorted(
                 self.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2].value)):
             doc["entries"].setdefault(kind.value, {}).setdefault(element_id, {})[gran.value] = text
-        return json.dumps(doc, indent=2) + "\n"
+        return jsondoc.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "CaptionRegistry":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("schema") != 1:
-            raise ValueError("registry: expected a schema-1 JSON object")
-        for key in doc:
-            if key not in ("schema", "entries"):
-                raise ValueError(f"registry: unknown field {key!r}")
+    def from_json(cls, text: str | bytes, source: str = "registry") -> "CaptionRegistry":
+        """Parse a schema-1 registry read from ``source``; a malformed document
+        raises :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field."""
+        doc = jsondoc.loads(text, source).object(("schema",), ("entries",)).schema()
         registry = cls()
-        for kind_name, by_id in doc.get("entries", {}).items():
-            kind = ElementKind(kind_name)
-            for element_id, by_gran in by_id.items():
-                for gran_name, entry_text in by_gran.items():
-                    registry.add(ElementCaption(
-                        kind=kind, id=element_id, text=entry_text,
-                        granularity=Granularity(gran_name)))
+        for kind, by_id in doc.get("entries", {}).members():
+            for element_id, by_gran in by_id.members():
+                for gran, entry in by_gran.members():
+                    registry.add(entry.make(
+                        ElementCaption, kind=kind.enum(ElementKind), id=element_id.value,
+                        text=entry.string(), granularity=gran.enum(Granularity)))
         return registry
 
 

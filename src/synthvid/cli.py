@@ -9,14 +9,13 @@ a single seed and writes a byte-reproducible artifact tree.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from pathlib import Path
 
 import numpy as np
 
-from . import captioner, dataset_mixer, fidelity_metrics, flowlab, guidance
+from . import captioner, dataset_mixer, fidelity_metrics, flowlab, guidance, jsondoc
 from .camera_rig import generate_trajectory, trajectory_to_json
 from .meshes import bounding_sphere, builtin_mesh, load_obj, uv_sphere
 from .micro_renderer import emit_engine_script, render_video, write_ppm
@@ -43,7 +42,7 @@ __all__ = ["main"]
 
 
 def _load_config(path) -> SceneConfig:
-    return decode_config(Path(path).read_text())
+    return decode_config(Path(path).read_bytes(), source=str(path))
 
 
 def _resolve_mesh(cfg: SceneConfig, mesh_path=None):
@@ -53,7 +52,7 @@ def _resolve_mesh(cfg: SceneConfig, mesh_path=None):
 
 
 def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(jsondoc.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def _write_json(path, doc) -> None:
 def _cmd_sample_configs(args) -> int:
     library = PresetLibrary.default()
     if args.preset_file:
-        library.add(decode_preset(Path(args.preset_file).read_text()))
+        library.add(decode_preset(Path(args.preset_file).read_bytes(), source=args.preset_file))
     preset = library.get(args.preset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -97,14 +96,15 @@ def _cmd_render(args) -> int:
 def _cmd_caption(args) -> int:
     cfg = _load_config(args.config)
     if args.registry:
-        registry = captioner.CaptionRegistry.from_json(Path(args.registry).read_text())
+        registry = captioner.CaptionRegistry.from_json(Path(args.registry).read_bytes(),
+                                                       source=args.registry)
     else:
         registry = captioner.default_registry()
     caption = captioner.caption_for_config(
         cfg, registry,
         granularity=captioner.Granularity(args.granularity),
         tag_mode=captioner.TagMode(args.tags))
-    print(json.dumps(caption.to_json_dict(), indent=2))
+    sys.stdout.write(jsondoc.dumps(caption.to_json_dict()))
     return 0
 
 
@@ -185,7 +185,7 @@ def _cmd_evaluate(args) -> int:
     doc = fidelity_metrics.metrics_to_json_dict(metrics)
     if args.report:
         _write_json(args.report, doc)
-    print(json.dumps(doc, indent=2))
+    sys.stdout.write(jsondoc.dumps(doc))
     return 0
 
 
@@ -438,7 +438,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         if args.verbose:
             traceback.print_exc(file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

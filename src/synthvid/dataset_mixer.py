@@ -10,12 +10,12 @@ manifests are byte-reproducible.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import jsondoc
 from .captioner import CaptionDomain, ComposedCaption
 
 __all__ = [
@@ -135,7 +135,7 @@ def schedule_grid(ratios=DEFAULT_RATIOS, step_counts=DEFAULT_STEP_COUNTS,
 
 
 def entry_to_json(entry: ManifestEntry) -> str:
-    return json.dumps({
+    return jsondoc.dumps_line({
         "uri": entry.uri,
         "source": entry.source.value,
         "caption": entry.caption.to_json_dict(),
@@ -148,16 +148,16 @@ def write_manifest(entries, path) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """Read an NDJSON manifest; a malformed line raises
+    :class:`~synthvid.jsondoc.FormatError` naming ``<path>:<line>`` and the field."""
     entries = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        entries.append(ManifestEntry(
-            uri=doc["uri"],
-            caption=ComposedCaption.from_json_dict(doc["caption"]),
-            source=Source(doc["source"]),
-        ))
+        doc = jsondoc.loads(line, f"{path}:{number}").object(("uri", "source", "caption"))
+        entries.append(doc["source"].make(
+            ManifestEntry, uri=doc["uri"].string(), source=doc["source"].enum(Source),
+            caption=ComposedCaption.from_json_dict(doc["caption"])))
     return entries
 
 
@@ -165,14 +165,15 @@ def load_pool_dir(directory) -> list[tuple[str, ComposedCaption]]:
     """Collect ``*.caption.json`` pool entries from a directory (sorted).
 
     An existing directory without entries is an empty pool; a path that is
-    not a directory raises ``FileNotFoundError``.
+    not a directory raises ``FileNotFoundError``.  A malformed entry raises
+    :class:`~synthvid.jsondoc.FormatError` naming the entry's path and the field.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"pool directory not found: {directory}")
     pool = []
     for path in sorted(directory.glob("*.caption.json")):
-        doc = json.loads(path.read_text())
-        uri = doc.get("uri", path.stem)
-        pool.append((uri, ComposedCaption.from_json_dict(doc["caption"])))
+        doc = jsondoc.loads(path.read_bytes(), str(path)).object(("caption",), ("uri",))
+        pool.append((doc.get("uri", path.stem).string(),
+                     ComposedCaption.from_json_dict(doc["caption"])))
     return pool

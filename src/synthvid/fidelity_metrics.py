@@ -20,20 +20,13 @@ reprojection error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .camera_rig import (
-    CameraTrajectory,
-    _json_array,
-    _json_list,
-    _json_number,
-    trajectory_from_json,
-    trajectory_to_json,
-)
+from . import jsondoc
+from .camera_rig import CameraTrajectory, trajectory_from_json, trajectory_to_json
 from .meshes import Mesh
 
 __all__ = [
@@ -321,43 +314,36 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
             for t in track_set.tracks
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsondoc.dumps(doc)
 
 
-def tracks_from_json(text: str, source: str = "track set") -> FeatureTrackSet:
-    """Parse a schema-1 track set.
+def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTrackSet:
+    """Parse a schema-1 track set read from ``source``.
 
-    Malformed JSON, a missing or mistyped field, an observation of a frame
-    outside the camera list and a ``focus_history`` whose length differs
-    from the camera count raise ``ValueError`` naming ``source`` and the
-    field path.
+    Malformed JSON, a missing, unknown or mistyped field, an observation of
+    a frame outside the camera list and a ``focus_history`` whose length
+    differs from the camera count raise :class:`~synthvid.jsondoc.FormatError`
+    naming ``source`` and the field path.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != 1:
-        raise ValueError(f"{source}: expected a schema-1 document")
-    width = _json_number(doc, "width", source, integer=True)
-    height = _json_number(doc, "height", source, integer=True)
-    cameras = trajectory_from_json(doc, source)
+    doc = jsondoc.loads(text, source).object(
+        ("schema", "width", "height", "cameras", "focus_history", "tracks")).schema()
+    width = doc["width"].integer()
+    height = doc["height"].integer()
+    cameras = trajectory_from_json(doc.value, source)
     n_cameras = len(cameras)
     tracks = []
-    for j, t in enumerate(_json_list(doc, "tracks", source)):
-        path = f"tracks[{j}]"
-        obs = _json_array(t, "observations", (-1, 3), source, path)
+    for t in doc["tracks"].elements():
+        t.object(("point_id", "observations"), ("true_point",))
+        obs = t["observations"].array((-1, 3))
         frames = obs[:, 0]
         bad = ~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames))
         if bad.any():
-            raise ValueError(f"{source}: {path}.observations: frame index {frames[bad][0]:g} "
-                             f"is not an integer in [0, {n_cameras})")
-        point_id = _json_number(t, "point_id", source, path, integer=True)
-        true_point = None if t.get("true_point") is None \
-            else _json_array(t, "true_point", (3,), source, path)
-        try:
-            tracks.append(Track(point_id, frames.astype(int), obs[:, 1:], true_point))
-        except ValueError as exc:
-            raise ValueError(f"{source}: {path}: {exc}") from None
+            raise t["observations"].error(f"frame index {frames[bad][0]:g} is not an integer "
+                                          f"in [0, {n_cameras})")
+        point_id = t["point_id"].integer()
+        true_point = t.get("true_point")
+        true_point = None if true_point.value is None else true_point.array((3,))
+        tracks.append(t.make(Track, point_id, frames.astype(int), obs[:, 1:], true_point))
     return FeatureTrackSet(tracks=tuple(tracks), cameras=cameras, width=width, height=height)
 
 
@@ -366,4 +352,4 @@ def write_tracks(track_set: FeatureTrackSet, path) -> None:
 
 
 def read_tracks(path) -> FeatureTrackSet:
-    return tracks_from_json(Path(path).read_text(), source=str(path))
+    return tracks_from_json(Path(path).read_bytes(), source=str(path))

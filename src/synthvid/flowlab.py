@@ -19,12 +19,13 @@ z offset is the rendering artifact nobody wants to keep.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import jsondoc
 
 __all__ = [
     "DivergenceError",
@@ -39,9 +40,7 @@ __all__ = [
     "ToyDataset",
     "TrainConfig",
     "VelocityModel",
-    "energy_distance",
     "flow_match_loss",
-    "gaussian_mixture_dataset",
     "integrate",
     "load_checkpoint",
     "save_checkpoint",
@@ -279,16 +278,6 @@ def toy_mixed_dataset(n: int, seed: int, synthetic_share: float = 0.5) -> ToyDat
     return ToyDataset(points[order], labels[order])
 
 
-def gaussian_mixture_dataset(n: int, seed: int,
-                             centers=((-1.5, 0.0), (1.5, 0.0)),
-                             sigma: float = 0.3, label: int = 0) -> ToyDataset:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    centers = np.asarray(centers, dtype=float)
-    which = rng.integers(len(centers), size=n)
-    points = centers[which] + sigma * rng.standard_normal((n, centers.shape[1]))
-    return ToyDataset(points, np.full(n, label))
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -379,28 +368,6 @@ def integrate(velocity_fn, x, n_steps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Energy distance between two samples.
-
-    Computed as sqrt(max(0, 2 E||x - y|| - E||x - x'|| - E||y - y'||)) with
-    plain all-pairs means (V-statistic, diagonal included), so same-sample
-    baselines stay strictly positive at finite n.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-
-    def mean_pairwise(a, b):
-        sq = (a ** 2).sum(1)[:, None] + (b ** 2).sum(1)[None, :] - 2.0 * (a @ b.T)
-        return float(np.sqrt(np.maximum(sq, 0.0)).mean())
-
-    stat = 2.0 * mean_pairwise(x, y) - mean_pairwise(x, x) - mean_pairwise(y, y)
-    return float(np.sqrt(max(stat, 0.0)))
-
-
-# ---------------------------------------------------------------------------
 # checkpoints: one JSON header line, then raw float64 parameters
 
 
@@ -419,45 +386,41 @@ def save_checkpoint(model: VelocityModel, path, seed: int | None = None,
         "seed": seed,
         "train_steps": train_steps,
     }
-    payload = json.dumps(header).encode("ascii") + b"\n" + model.flat.astype("<f8").tobytes()
-    Path(path).write_bytes(payload)
+    head = jsondoc.dumps_line(header).encode("ascii")
+    Path(path).write_bytes(head + b"\n" + model.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns ``(model, header_dict)``; raises ValueError naming the bad field."""
+    """Returns ``(model, header_dict)``.
+
+    A malformed file raises :class:`~synthvid.jsondoc.FormatError` naming
+    ``path`` and the header field or the payload.
+    """
     data = Path(path).read_bytes()
     head, newline, payload = data.partition(b"\n")
     if not newline:
-        raise ValueError(f"{path}: header: no newline ends a JSON header line")
-    try:
-        header = json.loads(head.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: header: not an ASCII JSON line ({exc})") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header: expected a JSON object")
-    for field in _HEADER_FIELDS:
-        if field not in header:
-            raise ValueError(f"{path}: header field {field!r} is missing")
-    if header["schema"] != 1:
-        raise ValueError(f"{path}: header field 'schema': unsupported value {header['schema']!r}")
+        raise jsondoc.FormatError(f"{path}: header: no newline ends a JSON header line")
+    header = jsondoc.loads(head, f"{path}: header").object(_HEADER_FIELDS).schema()
+    dims = []
     for field in ("data_dim", "cond_dim", "hidden"):
-        value = header[field]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{path}: header field {field!r} must be an integer >= 0, "
-                             f"got {value!r}")
-    n_weights = sum(math.prod(shape) for shape in _weight_shapes(
-        header["data_dim"], header["cond_dim"], header["hidden"]))
-    if header["param_count"] != n_weights:
-        raise ValueError(f"{path}: header field 'param_count' = {header['param_count']} does "
-                         f"not match the {n_weights} weights its dimensions imply")
-    if len(payload) != 8 * header["param_count"]:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes but header field "
-                         f"'param_count' = {header['param_count']} needs "
-                         f"{8 * header['param_count']}")
+        dims.append(header[field].integer())
+        if dims[-1] < 0:
+            raise header[field].error(f"expected an integer >= 0, got {dims[-1]}")
+    for field in ("seed", "train_steps"):
+        if header[field].value is not None:
+            header[field].integer()
+    n_weights = sum(math.prod(shape) for shape in _weight_shapes(*dims))
+    param_count = header["param_count"].integer()
+    if param_count != n_weights:
+        raise header["param_count"].error(
+            f"{param_count} does not match the {n_weights} weights its dimensions imply")
+    if len(payload) != 8 * param_count:
+        raise jsondoc.FormatError(f"{path}: payload holds {len(payload)} bytes but header field "
+                                  f"'param_count' = {param_count} needs {8 * param_count}")
     flat = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(flat).all():
-        raise ValueError(f"{path}: payload has non-finite weights")
+        raise jsondoc.FormatError(f"{path}: payload has non-finite weights")
 
-    model = VelocityModel(header["data_dim"], header["cond_dim"], header["hidden"], seed=0)
+    model = VelocityModel(*dims, seed=0)
     model.set_params(flat)
-    return model, header
+    return model, header.value

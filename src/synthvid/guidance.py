@@ -26,12 +26,12 @@ synthetic artifact direction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import jsondoc
 from .flowlab import (
     REFERENCE_LABEL,
     TAGGED_SYNTHETIC_LABEL,
@@ -133,17 +133,6 @@ class SimDropReport:
     alpha: float
     beta: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "angular_coverage": self.angular_coverage,
-            "covered_bins": self.covered_bins,
-            "artifact_mean": self.artifact_mean,
-            "artifact_abs_mean": self.artifact_abs_mean,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
-
 
 def run_simdrop_experiment(gen: VelocityModel, ref: VelocityModel,
                            params: GuidanceParams, n_samples: int, seed: int,
@@ -217,5 +206,5 @@ def train_transfer_models(seed: int, n_points: int = 4000,
 
 def write_report(reports, path) -> None:
     """Write one or more experiment reports side by side as JSON."""
-    doc = {"schema": 1, "runs": [r.to_json_dict() for r in reports]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    doc = {"schema": 1, "runs": [asdict(r) for r in reports]}
+    Path(path).write_text(jsondoc.dumps(doc))

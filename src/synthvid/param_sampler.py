@@ -14,15 +14,14 @@ as the inclusive integer range.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsondoc
 from .scene_config import (
     AnimationKind,
     CameraSpec,
-    ConfigFormatError,
     EngineTarget,
     EnvSpec,
     FocusPosition,
@@ -451,38 +450,36 @@ def encode_preset(preset: DistributionPreset) -> str:
         "name": preset.name,
         "params": {f: dist_doc(preset.params[f]) for f in FIELD_KINDS},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return jsondoc.dumps(doc)
 
 
-def decode_preset(text: str) -> DistributionPreset:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ConfigFormatError("preset: expected a JSON object")
-    for key in doc:
-        if key not in ("schema", "name", "params"):
-            raise ConfigFormatError(f"preset: unknown field {key!r}")
-    if doc.get("schema") != 1:
-        raise ConfigFormatError(f"schema: expected 1, got {doc.get('schema')!r}")
-    if not isinstance(doc.get("name"), str):
-        raise ConfigFormatError("name: expected a string")
-    if not isinstance(doc.get("params"), dict):
-        raise ConfigFormatError("params: expected a JSON object")
+# JSON members of each distribution kind besides ``kind``
+_DISTRIBUTION_KEYS = {"uniform": ("low", "high"), "categorical": ("weights",),
+                      "constant": ("value",)}
 
-    params = {}
-    for name, spec in doc["params"].items():
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ConfigFormatError(f"params.{name}: expected an object with a 'kind'")
-        kind = spec["kind"]
-        if kind == "uniform":
-            params[name] = Uniform(float(spec["low"]), float(spec["high"]))
-        elif kind == "categorical":
-            weights = spec.get("weights")
-            if not isinstance(weights, list):
-                raise ConfigFormatError(f"params.{name}: categorical needs a weights list")
-            params[name] = Categorical(tuple((c, float(w)) for c, w in weights))
-        elif kind == "constant":
-            params[name] = Constant(spec["value"])
-        else:
-            raise ConfigFormatError(
-                f"params.{name}: {kind!r} is not one of uniform, categorical, constant")
-    return DistributionPreset(doc["name"], params)
+
+def _decode_distribution(spec: jsondoc.Field) -> Distribution:
+    kind = spec["kind"].string()
+    if kind not in _DISTRIBUTION_KEYS:
+        raise spec["kind"].error(f"{kind!r} is not a legal value "
+                                 f"(expected one of: {', '.join(_DISTRIBUTION_KEYS)})")
+    spec.object(("kind",) + _DISTRIBUTION_KEYS[kind])
+    if kind == "uniform":
+        return spec.make(Uniform, spec["low"].number(), spec["high"].number())
+    if kind == "categorical":
+        pairs = [pair.elements(2) for pair in spec["weights"].elements()]
+        return spec.make(Categorical, tuple((c.scalar(), w.number()) for c, w in pairs))
+    return Constant(spec["value"].scalar())
+
+
+def decode_preset(text: str | bytes, source: str = "preset") -> DistributionPreset:
+    """Parse a schema-1 preset read from ``source``.
+
+    Every field of :data:`FIELD_KINDS` needs one distribution, and each
+    distribution gets its keys and value types checked; a malformed document
+    raises :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field.
+    """
+    doc = jsondoc.loads(text, source).object(("schema", "name", "params")).schema()
+    params = doc["params"].object(tuple(FIELD_KINDS))
+    return DistributionPreset(doc["name"].string(), {
+        name.value: _decode_distribution(spec) for name, spec in params.members()})

@@ -4,8 +4,10 @@ A :class:`SceneConfig` bundles everything needed to realize one clip: the
 object and its animation, the camera setup, the lights, the environment,
 and the render settings.  Configs are immutable, compare field-for-field,
 and serialize to a strict JSON dialect (``"schema": 1``, unknown keys
-rejected).  :func:`validate_config` reports every violated invariant
-instead of raising, so callers can surface all problems at once.
+rejected); a malformed document raises
+:class:`~synthvid.jsondoc.FormatError` naming the file and field.
+:func:`validate_config` reports every violated invariant instead of
+raising, so callers can surface all problems at once.
 
 Conventions baked into the pipeline:
 
@@ -18,14 +20,14 @@ Conventions baked into the pipeline:
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+from . import jsondoc
 
 __all__ = [
     "AnimationKind",
     "CameraSpec",
-    "ConfigFormatError",
     "EngineTarget",
     "EnvSpec",
     "FocusPosition",
@@ -46,14 +48,8 @@ __all__ = [
     "validate_config",
 ]
 
-SCHEMA_VERSION = 1
-
 Vec3 = tuple[float, float, float]
 Vec4 = tuple[float, float, float, float]
-
-
-class ConfigFormatError(ValueError):
-    """Raised when config text cannot be decoded (bad key, value, or type)."""
 
 
 class FocusType(str, enum.Enum):
@@ -406,198 +402,87 @@ def kelvin_to_rgb(kelvin: float) -> Vec3:
 def encode_config(cfg: SceneConfig) -> str:
     """Serialize ``cfg`` as schema-1 JSON text.
 
+    The document holds the dataclass fields in declaration order, leaving
+    out the environment color that is ``None``.
     ``decode_config(encode_config(cfg)) == cfg`` holds field-for-field for
     any config built from finite floats (JSON float formatting round-trips
     exactly).
     """
-    env: dict = {"scene_type": cfg.environment.scene_type.value}
-    if cfg.environment.scene_color is not None:
-        env["scene_color"] = list(cfg.environment.scene_color)
-    if cfg.environment.background_color is not None:
-        env["background_color"] = list(cfg.environment.background_color)
-
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "object_ref": cfg.object_ref,
-        "object_animation": {
-            "kind": cfg.object_animation.kind.value,
-            "rate_deg_per_s": cfg.object_animation.rate_deg_per_s,
-            "velocity": list(cfg.object_animation.velocity),
-        },
-        "camera": {
-            "focus_type": cfg.camera.focus_type.value,
-            "focus_position": cfg.camera.focus_position.value,
-            "movement_type": cfg.camera.movement_type.value,
-            "movement_value": cfg.camera.movement_value,
-            "initial_position": list(cfg.camera.initial_position),
-            "coverage": cfg.camera.coverage,
-        },
-        "lighting": {
-            "lights": [
-                {
-                    "position": list(l.position),
-                    "color_temp": l.color_temp,
-                    "intensity": l.intensity,
-                }
-                for l in cfg.lighting.lights
-            ],
-            "ambient_intensity": cfg.lighting.ambient_intensity,
-        },
-        "environment": env,
-        "render": {
-            "width": cfg.render.width,
-            "height": cfg.render.height,
-            "quality": cfg.render.quality.value,
-            "engine_target": cfg.render.engine_target.value,
-        },
-        "seed": cfg.seed,
-        "n_frames": cfg.n_frames,
-        "fps": cfg.fps,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    doc = {"schema": jsondoc.SCHEMA_VERSION, **asdict(cfg)}
+    doc["environment"] = {k: v for k, v in doc["environment"].items() if v is not None}
+    return jsondoc.dumps(doc)
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigFormatError(f"{path}: expected a JSON object")
-    return value
+def decode_config(text: str | bytes, source: str = "config") -> SceneConfig:
+    """Parse schema-1 config JSON read from ``source``.
 
-
-def _take(mapping: dict, path: str, required: tuple[str, ...],
-          optional: tuple[str, ...] = ()) -> dict:
-    """Extract keys from a JSON object, rejecting unknown and missing keys."""
-    allowed = set(required) | set(optional)
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigFormatError(f"{path}: unknown field {key!r}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigFormatError(f"{path}: missing field {key!r}")
-    return mapping
-
-
-def _parse_enum(enum_cls, value, path: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        legal = ", ".join(m.value for m in enum_cls)
-        raise ConfigFormatError(
-            f"{path}: {value!r} is not a legal value (expected one of: {legal})"
-        ) from None
-
-
-def _parse_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigFormatError(f"{path}: expected a number")
-    return float(value)
-
-
-def _parse_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigFormatError(f"{path}: expected an integer")
-    return value
-
-
-def _parse_vec(value, n: int, path: str) -> tuple:
-    if not isinstance(value, list) or len(value) != n:
-        raise ConfigFormatError(f"{path}: expected a list of {n} numbers")
-    return tuple(_parse_number(c, f"{path}[{i}]") for i, c in enumerate(value))
-
-
-def decode_config(text: str) -> SceneConfig:
-    """Parse schema-1 config JSON.
-
-    Malformed JSON raises :class:`json.JSONDecodeError` (position-annotated);
-    structurally invalid documents raise :class:`ConfigFormatError` naming
-    the offending field.  Decoding is intentionally independent of
-    :func:`validate_config`: a decodable config may still fail validation.
+    Malformed JSON and structurally invalid documents raise
+    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the
+    offending field (or, for a syntax error, its line and column).  Decoding
+    is intentionally independent of :func:`validate_config`: a decodable
+    config may still fail validation.
     """
-    doc = _require_mapping(json.loads(text), "config")
-    _take(doc, "config", (
+    doc = jsondoc.loads(text, source).object((
         "schema", "object_ref", "object_animation", "camera", "lighting",
         "environment", "render", "seed", "n_frames", "fps",
-    ))
-    if doc["schema"] != SCHEMA_VERSION:
-        raise ConfigFormatError(f"schema: expected {SCHEMA_VERSION}, got {doc['schema']!r}")
+    )).schema()
 
-    if not isinstance(doc["object_ref"], str):
-        raise ConfigFormatError("object_ref: expected a string")
-
-    anim_doc = _take(_require_mapping(doc["object_animation"], "object_animation"),
-                     "object_animation", ("kind",), ("rate_deg_per_s", "velocity"))
+    anim = doc["object_animation"].object(("kind",), ("rate_deg_per_s", "velocity"))
     animation = ObjectAnimation(
-        kind=_parse_enum(AnimationKind, anim_doc["kind"], "object_animation.kind"),
-        rate_deg_per_s=_parse_number(anim_doc.get("rate_deg_per_s", 0.0),
-                                     "object_animation.rate_deg_per_s"),
-        velocity=_parse_vec(anim_doc.get("velocity", [0.0, 0.0, 0.0]), 3,
-                            "object_animation.velocity"),
+        kind=anim["kind"].enum(AnimationKind),
+        rate_deg_per_s=anim.get("rate_deg_per_s", 0.0).number(),
+        velocity=anim.get("velocity", [0.0, 0.0, 0.0]).vector(3),
     )
 
-    cam_doc = _take(_require_mapping(doc["camera"], "camera"), "camera", (
+    cam = doc["camera"].object((
         "focus_type", "focus_position", "movement_type", "movement_value",
         "initial_position", "coverage",
     ))
     camera = CameraSpec(
-        focus_type=_parse_enum(FocusType, cam_doc["focus_type"], "camera.focus_type"),
-        focus_position=_parse_enum(FocusPosition, cam_doc["focus_position"],
-                                   "camera.focus_position"),
-        movement_type=_parse_enum(MovementType, cam_doc["movement_type"],
-                                  "camera.movement_type"),
-        movement_value=_parse_number(cam_doc["movement_value"], "camera.movement_value"),
-        initial_position=_parse_vec(cam_doc["initial_position"], 3,
-                                    "camera.initial_position"),
-        coverage=_parse_number(cam_doc["coverage"], "camera.coverage"),
+        focus_type=cam["focus_type"].enum(FocusType),
+        focus_position=cam["focus_position"].enum(FocusPosition),
+        movement_type=cam["movement_type"].enum(MovementType),
+        movement_value=cam["movement_value"].number(),
+        initial_position=cam["initial_position"].vector(3),
+        coverage=cam["coverage"].number(),
     )
 
-    lit_doc = _take(_require_mapping(doc["lighting"], "lighting"), "lighting",
-                    ("lights", "ambient_intensity"))
-    if not isinstance(lit_doc["lights"], list):
-        raise ConfigFormatError("lighting.lights: expected a list")
+    lit = doc["lighting"].object(("lights", "ambient_intensity"))
     lights = []
-    for i, entry in enumerate(lit_doc["lights"]):
-        path = f"lighting.lights[{i}]"
-        entry = _take(_require_mapping(entry, path), path,
-                      ("position", "color_temp", "intensity"))
+    for entry in lit["lights"].elements():
+        entry.object(("position", "color_temp", "intensity"))
         lights.append(Light(
-            position=_parse_vec(entry["position"], 3, f"{path}.position"),
-            color_temp=_parse_number(entry["color_temp"], f"{path}.color_temp"),
-            intensity=_parse_number(entry["intensity"], f"{path}.intensity"),
+            position=entry["position"].vector(3),
+            color_temp=entry["color_temp"].number(),
+            intensity=entry["intensity"].number(),
         ))
-    lighting = LightingSpec(
-        lights=tuple(lights),
-        ambient_intensity=_parse_number(lit_doc["ambient_intensity"],
-                                        "lighting.ambient_intensity"),
-    )
+    lighting = LightingSpec(lights=tuple(lights),
+                            ambient_intensity=lit["ambient_intensity"].number())
 
-    env_doc = _take(_require_mapping(doc["environment"], "environment"), "environment",
-                    ("scene_type",), ("scene_color", "background_color"))
+    env = doc["environment"].object(("scene_type",), ("scene_color", "background_color"))
     environment = EnvSpec(
-        scene_type=_parse_enum(SceneType, env_doc["scene_type"], "environment.scene_type"),
-        scene_color=(None if "scene_color" not in env_doc
-                     else _parse_vec(env_doc["scene_color"], 3, "environment.scene_color")),
-        background_color=(None if "background_color" not in env_doc
-                          else _parse_vec(env_doc["background_color"], 4,
-                                          "environment.background_color")),
+        scene_type=env["scene_type"].enum(SceneType),
+        scene_color=env["scene_color"].vector(3) if "scene_color" in env else None,
+        background_color=(env["background_color"].vector(4) if "background_color" in env
+                          else None),
     )
 
-    ren_doc = _take(_require_mapping(doc["render"], "render"), "render",
-                    ("width", "height", "quality", "engine_target"))
+    ren = doc["render"].object(("width", "height", "quality", "engine_target"))
     render = RenderSpec(
-        width=_parse_int(ren_doc["width"], "render.width"),
-        height=_parse_int(ren_doc["height"], "render.height"),
-        quality=_parse_enum(RenderQuality, ren_doc["quality"], "render.quality"),
-        engine_target=_parse_enum(EngineTarget, ren_doc["engine_target"],
-                                  "render.engine_target"),
+        width=ren["width"].integer(),
+        height=ren["height"].integer(),
+        quality=ren["quality"].enum(RenderQuality),
+        engine_target=ren["engine_target"].enum(EngineTarget),
     )
 
     return SceneConfig(
-        object_ref=doc["object_ref"],
+        object_ref=doc["object_ref"].string(),
         object_animation=animation,
         camera=camera,
         lighting=lighting,
         environment=environment,
         render=render,
-        seed=_parse_int(doc["seed"], "seed"),
-        n_frames=_parse_int(doc["n_frames"], "n_frames"),
-        fps=_parse_int(doc["fps"], "fps"),
+        seed=doc["seed"].integer(),
+        n_frames=doc["n_frames"].integer(),
+        fps=doc["fps"].integer(),
     )

@@ -19,7 +19,7 @@ from synthvid.camera_rig import (
     look_at,
 )
 from synthvid.cli import main as cli_main
-from synthvid.flowlab import TrainConfig, VelocityModel, energy_distance, train
+from synthvid.flowlab import TrainConfig, VelocityModel, train
 from synthvid.guidance import (
     GuidanceParams,
     default_guidance_params,
@@ -45,6 +45,7 @@ from synthvid.scene_config import (
 from synthvid.seeding import stream_seed
 
 from conftest import make_config
+from flow_helpers import energy_distance, gaussian_mixture_dataset
 
 
 def criterion(number, name, budget_seconds):
@@ -130,7 +131,7 @@ def test_criterion_2_gradients_vs_finite_differences():
 
 @criterion(3, "toy distribution learning", budget_seconds=180.0)
 def test_criterion_3_gmm_energy_distance():
-    train_set = flowlab.gaussian_mixture_dataset(8000, seed=201)
+    train_set = gaussian_mixture_dataset(8000, seed=201)
     model = VelocityModel(data_dim=2, cond_dim=1, seed=1)
     trained, trace = train(model, train_set, TrainConfig(
         learning_rate=2e-3, steps=10_000, batch_size=512, cond_dropout=0.1, seed=2))
@@ -140,11 +141,11 @@ def test_criterion_3_gmm_energy_distance():
     samples = flowlab.integrate(lambda x, t: trained.velocity(x, t, 0),
                                 rng.standard_normal((2000, 2)), 100)
 
-    held_out = flowlab.gaussian_mixture_dataset(2000, seed=303).points
+    held_out = gaussian_mixture_dataset(2000, seed=303).points
     # oracle: the same statistic between two fresh data resamples, computed
     # in-suite, bounds what distribution-matching noise alone looks like
-    baseline = energy_distance(flowlab.gaussian_mixture_dataset(2000, seed=404).points,
-                               flowlab.gaussian_mixture_dataset(2000, seed=505).points)
+    baseline = energy_distance(gaussian_mixture_dataset(2000, seed=404).points,
+                               gaussian_mixture_dataset(2000, seed=505).points)
     model_distance = energy_distance(samples, held_out)
     print(f"  energy distance {model_distance:.4f} vs baseline {baseline:.4f} "
           f"(ratio {model_distance / baseline:.2f})")

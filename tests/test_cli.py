@@ -220,3 +220,97 @@ def test_verbose_prints_the_traceback(tmp_path, capsys):
     assert verbose.startswith("Traceback (most recent call last):")
     assert "FileNotFoundError" in verbose
     assert verbose.endswith(quiet)
+
+
+def _pool_dirs(tmp_path, syn_text):
+    syn, real = tmp_path / "syn", tmp_path / "real"
+    syn.mkdir()
+    real.mkdir()
+    (syn / "a.caption.json").write_text(syn_text)
+    (real / "b.caption.json").write_text(json.dumps(
+        {"uri": "r/b", "caption": {"text": "a dog", "domain": "Real"}}))
+    return ["--syn", str(syn), "--real", str(real), "--ratio", "0.5", "--steps", "10"]
+
+
+def _caption_args(tmp_path, config_file, registry_doc):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps(registry_doc))
+    return registry, ["caption", "--config", str(config_file), "--registry", str(registry)]
+
+
+def test_pool_entry_without_caption_names_file_and_field(tmp_path, capsys):
+    args = _pool_dirs(tmp_path, json.dumps({"uri": "s/a"}))
+    assert run("build-manifest", *args) == 1
+    path = tmp_path / "syn" / "a.caption.json"
+    assert capsys.readouterr().err == f"error: {path}: caption: missing\n"
+
+
+def test_non_json_pool_entry_names_file_and_position(tmp_path, capsys):
+    args = _pool_dirs(tmp_path, "{\n  oops\n}")
+    assert run("build-manifest", *args) == 1
+    path = tmp_path / "syn" / "a.caption.json"
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: Expecting property name enclosed in double quotes: line 2 column 3")
+
+
+def test_preset_uniform_without_low_names_file_and_field(tmp_path, capsys):
+    from synthvid.param_sampler import PresetLibrary, encode_preset
+
+    doc = json.loads(encode_preset(PresetLibrary.default().get("random")))
+    doc["name"] = "custom"
+    del doc["params"]["camera.coverage"]["low"]
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(doc))
+    assert run("sample-configs", "--preset", "custom", "--preset-file", str(path),
+               "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {path}: params.camera.coverage.low: missing\n"
+
+
+def test_registry_with_unknown_kind_names_file_and_field(tmp_path, config_file, capsys):
+    path, args = _caption_args(tmp_path, config_file,
+                               {"schema": 1, "entries": {"Bogus": {"x": {"Generic": "an x"}}}})
+    capsys.readouterr()
+    assert run(*args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: entries.Bogus: 'Bogus' is not a legal value "
+        "(expected one of: Object, Scene, Camera, Motion)\n")
+
+
+def test_registry_with_entries_list_names_file_and_field(tmp_path, config_file, capsys):
+    path, args = _caption_args(tmp_path, config_file, {"schema": 1, "entries": []})
+    capsys.readouterr()
+    assert run(*args) == 1
+    assert capsys.readouterr().err == f"error: {path}: entries: expected a JSON object\n"
+
+
+def test_render_bad_config_names_file_and_field(tmp_path, config_file, capsys):
+    doc = json.loads(config_file.read_text())
+    del doc["object_ref"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("render", "--config", str(path), "--out", str(tmp_path / "frames")) == 1
+    assert capsys.readouterr().err == f"error: {path}: object_ref: missing\n"
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"object_ref": "caf\xe9"}'.encode("latin-1"))
+    assert run("render", "--config", str(path), "--out", str(tmp_path / "frames")) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 19")
+
+
+def test_key_errors_print_without_repr_quotes(tmp_path, config_file, capsys):
+    assert run("sample-configs", "--preset", "nope", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown preset 'nope' (known: forward_following, forward_only, random)\n")
+    doc = json.loads(config_file.read_text())
+    doc["object_ref"] = "teapot"
+    path = tmp_path / "teapot.json"
+    path.write_text(json.dumps(doc))
+    assert run("render", "--config", str(path), "--out", str(tmp_path / "frames")) == 1
+    assert capsys.readouterr().err.startswith("error: unknown object_ref 'teapot' (builtins: ")
+    assert run("caption", "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: no registry entry for (Object, 'teapot', Generic)\n")

@@ -16,6 +16,7 @@ from synthvid.dataset_mixer import (
     schedule_grid,
     write_manifest,
 )
+from synthvid.jsondoc import FormatError
 
 
 def synthetic_caption(text):
@@ -142,3 +143,17 @@ def test_load_pool_dir_rejects_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError, match=re.escape(f"pool directory not found: {missing}")):
         load_pool_dir(missing)
     assert load_pool_dir(tmp_path) == []
+
+
+def test_bad_manifest_line_names_file_line_and_field(tmp_path):
+    entries = build_manifest(SYN_POOL, REAL_POOL, MixSchedule(0.5, 4, seed=11))
+    path = tmp_path / "manifest.ndjson"
+    write_manifest(entries, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ['{"uri": "x", "source": "Real",}'] + lines[3:]))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}:3: Expecting property name enclosed in double quotes: line 1 column 31")):
+        read_manifest(path)
+    path.write_text("\n".join(lines[:3] + ['{"uri": "x", "source": "Real"}']))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:4: caption: missing$"):
+        read_manifest(path)

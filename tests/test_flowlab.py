@@ -13,9 +13,7 @@ from synthvid.flowlab import (
     ToyDataset,
     TrainConfig,
     VelocityModel,
-    energy_distance,
     flow_match_loss,
-    gaussian_mixture_dataset,
     integrate,
     load_checkpoint,
     save_checkpoint,
@@ -24,6 +22,9 @@ from synthvid.flowlab import (
     toy_synthetic_dataset,
     train,
 )
+from synthvid.jsondoc import FormatError
+
+from flow_helpers import energy_distance, gaussian_mixture_dataset
 
 
 def tiny_model(seed=0, data_dim=2, cond_dim=2, hidden=8):
@@ -408,7 +409,7 @@ def _write(path, header, payload):
 def test_checkpoint_without_header_newline_rejected(tmp_path):
     path = tmp_path / "garbage.ckpt"
     path.write_bytes(bytes(range(1, 10)) + b"\xff\x00garbage")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: header: no newline"):
         load_checkpoint(path)
 
 
@@ -417,7 +418,7 @@ def test_checkpoint_header_missing_field_rejected(tmp_path, field):
     path, header, payload = _checkpoint_parts(tmp_path)
     del header[field]
     _write(path, header, payload)
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field '{field}' is missing"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: header: {field}: missing$"):
         load_checkpoint(path)
 
 
@@ -425,10 +426,11 @@ def test_checkpoint_wrong_payload_size_rejected(tmp_path):
     path, header, payload = _checkpoint_parts(tmp_path)
     for bad in (payload[:-8], payload + b"\0" * 8, payload[:-3]):
         _write(path, header, bad)
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload .* 'param_count'"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: payload .* 'param_count'"):
             load_checkpoint(path)
     _write(path, dict(header, param_count=header["param_count"] - 1), payload[:-8])
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field 'param_count'"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: header: param_count: "
+                                          f"{header['param_count'] - 1} does not match"):
         load_checkpoint(path)
 
 
@@ -436,7 +438,8 @@ def test_checkpoint_wrong_payload_size_rejected(tmp_path):
 def test_checkpoint_bad_dimension_rejected(tmp_path, value):
     path, header, payload = _checkpoint_parts(tmp_path)
     _write(path, dict(header, hidden=value), payload)
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header field 'hidden'"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: header: hidden: "
+                                          "expected an integer"):
         load_checkpoint(path)
 
 
@@ -446,7 +449,8 @@ def test_checkpoint_non_finite_weights_rejected(tmp_path, value):
     weights = np.frombuffer(payload, dtype="<f8").copy()
     weights[5] = value
     _write(path, header, weights.tobytes())
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: payload has non-finite weights"):
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(path))}: payload has non-finite weights"):
         load_checkpoint(path)
 
 

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
+from synthvid.jsondoc import FormatError
 from synthvid.param_sampler import PresetLibrary, sample_config
 from synthvid.scene_config import (
-    ConfigFormatError,
     EnvSpec,
     MovementType,
     ObjectAnimation,
@@ -123,44 +123,45 @@ def test_round_trip_animation_variants():
 def test_unknown_field_is_rejected_by_name():
     doc = json.loads(encode_config(make_config()))
     doc["shutter_speed"] = 1.0
-    with pytest.raises(ConfigFormatError, match="shutter_speed"):
+    with pytest.raises(FormatError, match=r"^config: shutter_speed: unknown field$"):
         decode_config(json.dumps(doc))
 
 
 def test_unknown_nested_field_is_rejected():
     doc = json.loads(encode_config(make_config()))
     doc["camera"]["zoom_factor"] = 2.0
-    with pytest.raises(ConfigFormatError, match="zoom_factor"):
+    with pytest.raises(FormatError, match=r"^config: camera\.zoom_factor: unknown field$"):
         decode_config(json.dumps(doc))
 
 
 def test_illegal_movement_type_lists_the_legal_values():
     doc = json.loads(encode_config(make_config()))
     doc["camera"]["movement_type"] = "Orbit"
-    with pytest.raises(ConfigFormatError) as err:
+    with pytest.raises(FormatError) as err:
         decode_config(json.dumps(doc))
     message = str(err.value)
+    assert message.startswith("config: camera.movement_type: 'Orbit' is not a legal value")
     for legal in MovementType:
         assert legal.value in message
 
 
 def test_malformed_json_error_carries_position():
-    with pytest.raises(json.JSONDecodeError) as err:
-        decode_config('{"schema": 1, "object_ref": }')
-    assert err.value.pos > 0
+    with pytest.raises(FormatError) as err:
+        decode_config('{"schema": 1,\n "object_ref": }', source="bad.json")
+    assert str(err.value) == "bad.json: Expecting value: line 2 column 16 (char 29)"
 
 
 def test_schema_field_is_required():
     doc = json.loads(encode_config(make_config()))
     del doc["schema"]
-    with pytest.raises(ConfigFormatError, match="schema"):
+    with pytest.raises(FormatError, match=r"^config: schema: missing$"):
         decode_config(json.dumps(doc))
 
 
 def test_missing_field_is_rejected_by_name():
     doc = json.loads(encode_config(make_config()))
     del doc["camera"]["coverage"]
-    with pytest.raises(ConfigFormatError, match="coverage"):
+    with pytest.raises(FormatError, match=r"^config: camera\.coverage: missing$"):
         decode_config(json.dumps(doc))
 
 
