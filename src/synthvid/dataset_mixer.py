@@ -164,6 +164,7 @@ def read_manifest(path) -> list[ManifestEntry]:
 def load_pool_dir(directory) -> list[tuple[str, ComposedCaption]]:
     """Collect ``*.caption.json`` pool entries from a directory (sorted).
 
+    An entry without a ``uri`` takes its file name without ``.caption.json``.
     An existing directory without entries is an empty pool; a path that is
     not a directory raises ``FileNotFoundError``.  A malformed entry raises
     :class:`~synthvid.jsondoc.FormatError` naming the entry's path and the field.
@@ -174,6 +175,6 @@ def load_pool_dir(directory) -> list[tuple[str, ComposedCaption]]:
     pool = []
     for path in sorted(directory.glob("*.caption.json")):
         doc = jsondoc.loads(path.read_bytes(), str(path)).object(("caption",), ("uri",))
-        pool.append((doc.get("uri", path.stem).string(),
+        pool.append((doc.get("uri", path.name.removesuffix(".caption.json")).string(),
                      ComposedCaption.from_json_dict(doc["caption"])))
     return pool

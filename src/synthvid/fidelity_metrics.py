@@ -111,7 +111,10 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
     positive depth and belongs to at least one triangle facing camera k.
     Isotropic Gaussian pixel noise of ``pixel_noise_sigma`` is added to each
     observation (vertex-major draw order, so results are seed-stable).
-    Vertices observed fewer than twice are dropped.
+    Vertices observed fewer than twice are dropped, and so are vertices whose
+    observing frames all share one camera pose (position, rotation and focal
+    length): a 360-degree spin ends on its first pose, and a vertex seen only
+    in those two frames would be a track with nothing to triangulate from.
     """
     if pixel_noise_sigma < 0.0:
         raise ValueError("pixel_noise_sigma must be nonnegative")
@@ -140,12 +143,18 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
         visible[k] = in_frame & vert_front
         xy_all[k] = xy
 
+    poses = np.array([np.concatenate([c.position, c.rotation.ravel(), [c.focal_mm]])
+                      for c in trajectory.frames]).reshape(n_frames, 13)
+    pose_ids = np.unique(poses, axis=0, return_inverse=True)[1].reshape(n_frames, 1)
+    # a vertex is kept when the poses observing it differ: its largest pose id
+    # exceeds its smallest (fewer than two observations never pass)
+    largest = np.where(visible, pose_ids, -1).max(axis=0, initial=-1)
+    smallest = np.where(visible, pose_ids, n_frames).min(axis=0, initial=n_frames)
+
     rng = np.random.Generator(np.random.PCG64(seed))
     tracks = []
-    for vid in range(n_verts):
+    for vid in np.flatnonzero(largest > smallest).tolist():
         frames = np.nonzero(visible[:, vid])[0]
-        if len(frames) < 2:
-            continue
         pixels = xy_all[frames, vid]
         if pixel_noise_sigma > 0.0:
             pixels = pixels + pixel_noise_sigma * rng.standard_normal(pixels.shape)

@@ -10,6 +10,15 @@ Everything is explicit numpy: the forward pass, the backward pass, and
 momentum SGD, so gradients can be checked against finite differences and
 runs are bit-reproducible from their seeds.
 
+A layer allocates nothing beyond its matmul result: the bias add, the tanh
+and the tanh derivative run in place, and the backward pass writes each
+gradient into a view of one vector laid out like ``VelocityModel.flat``.
+Each ``train`` call allocates that gradient vector and the (batch, in_dim)
+input block once and reuses them for every step; the momentum and EMA
+updates run on the same vector.  Condition labels are checked where they
+enter: ``velocity`` and ``flow_match_loss`` check theirs, and ``train``
+checks the dataset's labels once, so the per-step input builder does not.
+
 The 3D "transfer" construction used by the guidance experiments: real data
 lives on the upper half of the unit circle with a small-noise z near 0;
 synthetic data covers the full circle but sits at z near 2.  Angular
@@ -113,16 +122,19 @@ class VelocityModel:
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
-    def set_params(self, flat) -> None:
-        """Copy one vector in ``flat`` order into the model and bind the named views."""
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat`` cut into views shaped like ``w1, b1, w2, b2, w3, b3``."""
         shapes = _weight_shapes(self.data_dim, self.cond_dim, self.hidden)
         ends = np.cumsum([math.prod(shape) for shape in shapes])
-        flat = np.array(flat, dtype=float)
         if flat.shape != (ends[-1],):
             raise ValueError(f"expected {ends[-1]} weights, got shape {flat.shape}")
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+    def set_params(self, flat) -> None:
+        """Copy one vector in ``flat`` order into the model and bind the named views."""
+        flat = np.array(flat, dtype=float)
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = self._views(flat)
         self.flat = flat
-        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = [
-            part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
     def copy(self) -> "VelocityModel":
         clone = VelocityModel.__new__(VelocityModel)
@@ -135,50 +147,65 @@ class VelocityModel:
 
     # -- forward / backward --
 
-    def _encode(self, x: np.ndarray, t, cond) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        batch = x.shape[0]
-        t_col = np.broadcast_to(np.asarray(t, dtype=float), (batch,)).reshape(batch, 1)
-        onehot = np.zeros((batch, self.cond_dim + 1))
-        labels = self._labels(cond, batch)
-        bad = labels[(labels < -1) | (labels >= self.cond_dim)]
-        if bad.size:
-            raise ValueError(f"condition label {bad[0]} out of range: expected -1 (null) "
-                             f"or 0..{self.cond_dim - 1}")
-        slots = np.where(labels < 0, self.cond_dim, labels)
-        onehot[np.arange(batch), slots] = 1.0
-        return np.concatenate([x, t_col, onehot], axis=1)
-
-    @staticmethod
-    def _labels(cond, batch: int) -> np.ndarray:
+    def _labels(self, cond, batch: int) -> np.ndarray:
+        """One checked label per row: -1 (the null token) or 0..cond_dim-1."""
         if cond is None:
             return np.full(batch, -1, dtype=int)
         arr = np.asarray(cond)
         if arr.dtype.kind not in "iu":
             raise ValueError(f"condition labels must be integers or None, got {cond!r}")
-        if arr.ndim == 0:
-            return np.full(batch, int(arr), dtype=int)
-        return arr.astype(int)
+        if arr.ndim and arr.shape != (batch,):
+            raise ValueError(f"expected one condition label per row ({batch}), "
+                             f"got shape {arr.shape}")
+        labels = np.full(batch, int(arr), dtype=int) if arr.ndim == 0 else arr.astype(int)
+        bad = labels[(labels < -1) | (labels >= self.cond_dim)]
+        if bad.size:
+            raise ValueError(f"condition label {bad[0]} out of range: expected -1 (null) "
+                             f"or 0..{self.cond_dim - 1}")
+        return labels
+
+    def _encode(self, inputs: np.ndarray, t, labels: np.ndarray) -> np.ndarray:
+        """Complete the network input in place and return it.
+
+        The first ``data_dim`` columns of ``inputs`` already hold the points;
+        this writes the time column and the one-hot condition block.
+        ``labels`` must come from :meth:`_labels` or another checked source.
+        """
+        batch, d = len(inputs), self.data_dim
+        inputs[:, d] = t
+        onehot = inputs[:, d + 1:]
+        onehot.fill(0.0)
+        onehot[np.arange(batch), np.where(labels < 0, self.cond_dim, labels)] = 1.0
+        return inputs
 
     def _forward(self, inputs: np.ndarray):
-        h1 = np.tanh(inputs @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        out = h2 @ self.w3 + self.b3
+        """Output and the activations :meth:`_backward` needs; each layer is
+        computed in place in its own matmul result."""
+        h1 = inputs @ self.w1
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ self.w2
+        h2 += self.b2
+        np.tanh(h2, out=h2)
+        out = h2 @ self.w3
+        out += self.b3
         return out, (inputs, h1, h2)
 
-    def _backward(self, cache, d_out: np.ndarray) -> list[np.ndarray]:
+    def _backward(self, cache, d_out: np.ndarray, grads: list[np.ndarray]) -> None:
+        """Backpropagate ``d_out`` into ``grads``, views shaped like :meth:`params`.
+
+        The hidden activations in ``cache`` are overwritten.
+        """
         inputs, h1, h2 = cache
-        d_w3 = h2.T @ d_out
-        d_b3 = d_out.sum(axis=0)
-        d_h2 = d_out @ self.w3.T
-        d_z2 = d_h2 * (1.0 - h2 ** 2)
-        d_w2 = h1.T @ d_z2
-        d_b2 = d_z2.sum(axis=0)
-        d_h1 = d_z2 @ self.w2.T
-        d_z1 = d_h1 * (1.0 - h1 ** 2)
-        d_w1 = inputs.T @ d_z1
-        d_b1 = d_z1.sum(axis=0)
-        return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3]
+        d_w1, d_b1, d_w2, d_b2, d_w3, d_b3 = grads
+        np.matmul(h2.T, d_out, out=d_w3)
+        np.sum(d_out, axis=0, out=d_b3)
+        d_z2 = _through_tanh(d_out @ self.w3.T, h2)
+        np.matmul(h1.T, d_z2, out=d_w2)
+        np.sum(d_z2, axis=0, out=d_b2)
+        d_z1 = _through_tanh(d_z2 @ self.w2.T, h1)
+        np.matmul(inputs.T, d_z1, out=d_w1)
+        np.sum(d_z1, axis=0, out=d_b1)
 
     def velocity(self, x, t, cond) -> np.ndarray:
         """Velocity prediction; accepts a single point (d,) or a batch (B, d)."""
@@ -188,27 +215,42 @@ class VelocityModel:
             x = x[None, :]
         if x.shape[1] != self.data_dim:
             raise ValueError(f"expected data dimension {self.data_dim}, got {x.shape[1]}")
-        out, _ = self._forward(self._encode(x, t, cond))
+        inputs = np.empty((len(x), self.w1.shape[0]))
+        inputs[:, :self.data_dim] = x
+        out, _ = self._forward(self._encode(inputs, t, self._labels(cond, len(x))))
         return out[0] if single else out
 
 
-def _batch_loss_and_grads(model: VelocityModel, x0, x1, t, cond):
-    """Mean flow-matching loss over a batch plus parameter gradients."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    if x0.shape != x1.shape or x0.shape[1] != model.data_dim:
-        raise ValueError("x0/x1 shape mismatch with model data_dim")
-    batch = x0.shape[0]
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (batch,))
+def _through_tanh(d_h: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gradient at the pre-activation of ``h = tanh(z)``: ``d_h * (1 - h**2)``.
 
-    x_t = (1.0 - t_arr)[:, None] * x0 + t_arr[:, None] * x1
-    target = x1 - x0
+    Built in ``d_h``, which is returned; ``h`` is overwritten.
+    """
+    np.square(h, out=h)
+    np.subtract(1.0, h, out=h)
+    d_h *= h
+    return d_h
 
-    out, cache = model._forward(model._encode(x_t, t_arr, cond))
-    residual = out - target
+
+def _loss_and_grads(model: VelocityModel, x0, x1, t, labels, inputs, grads) -> float:
+    """Mean flow-matching loss over a batch; the parameter gradients go into ``grads``.
+
+    ``x0``, ``x1`` are (B, d) and ``t`` is (B,); ``labels`` must be checked
+    already.  ``inputs`` is a (B, in_dim) buffer and ``grads`` are views shaped
+    like ``model.params()``; both are overwritten.
+    """
+    batch = len(x0)
+    x_t = inputs[:, :model.data_dim]
+    np.multiply((1.0 - t)[:, None], x0, out=x_t)
+    x_t += t[:, None] * x1
+
+    residual, cache = model._forward(model._encode(inputs, t, labels))
+    residual -= x1 - x0
     loss = float((residual ** 2).sum() / batch)
-    grads = model._backward(cache, 2.0 * residual / batch)
-    return loss, grads
+    residual *= 2.0
+    residual /= batch
+    model._backward(cache, residual, grads)
+    return loss
 
 
 def flow_match_loss(model: VelocityModel, x0, x1, t: float, cond):
@@ -219,7 +261,15 @@ def flow_match_loss(model: VelocityModel, x0, x1, t: float, cond):
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    return _batch_loss_and_grads(model, x0, x1, float(t), cond)
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    if x0.shape != x1.shape or x0.shape[1] != model.data_dim:
+        raise ValueError("x0/x1 shape mismatch with model data_dim")
+    batch = len(x0)
+    grads = model._views(np.empty_like(model.flat))
+    loss = _loss_and_grads(model, x0, x1, np.full(batch, float(t)), model._labels(cond, batch),
+                           np.empty((batch, model.w1.shape[0])), grads)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +363,40 @@ def train(model: VelocityModel, dataset: ToyDataset, cfg: TrainConfig):
         raise ValueError("dataset must be nonempty")
     if (dataset.labels < 0).any() or (dataset.labels >= model.cond_dim).any():
         raise ValueError(f"dataset labels must lie in [0, {model.cond_dim})")
+    if dataset.points.shape[1] != model.data_dim:
+        raise ValueError(f"dataset points have dimension {dataset.points.shape[1]}, "
+                         f"expected the model's {model.data_dim}")
 
     model = model.copy()
     velocity_buffer = np.zeros_like(model.flat)
     averaged = model.flat.copy()
+    grad = np.empty_like(model.flat)
+    grads = model._views(grad)
+    inputs = np.empty((cfg.batch_size, model.w1.shape[0]))
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = len(dataset)
     trace = np.empty(cfg.steps)
 
     for step in range(cfg.steps):
         idx = rng.integers(0, n, size=cfg.batch_size)
-        x0 = dataset.points[idx]
-        conds = dataset.labels[idx].copy()
+        x0 = np.take(dataset.points, idx, axis=0)
+        conds = np.take(dataset.labels, idx)
         dropped = rng.random(cfg.batch_size) < cfg.cond_dropout
         conds[dropped] = -1  # null token
         x1 = rng.standard_normal((cfg.batch_size, model.data_dim))
         t = rng.random(cfg.batch_size)
 
-        loss, grads = _batch_loss_and_grads(model, x0, x1, t, conds)
+        loss = _loss_and_grads(model, x0, x1, t, conds, inputs, grads)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss became non-finite at step {step}")
         trace[step] = loss
 
         velocity_buffer *= MOMENTUM
-        velocity_buffer -= cfg.learning_rate * np.concatenate([g.ravel() for g in grads])
+        grad *= cfg.learning_rate
+        velocity_buffer -= grad
         model.flat += velocity_buffer
         averaged *= EMA_DECAY
-        averaged += (1.0 - EMA_DECAY) * model.flat
+        averaged += np.multiply(1.0 - EMA_DECAY, model.flat, out=grad)  # grad is spent
 
     model.set_params(averaged)
     return model, trace

@@ -10,7 +10,9 @@ delta that isolates the synthetic-specific direction, which is subtracted:
                    + beta  * (gen(l, t) - gen(l, n))
 
 With alpha = 0 this reduces bit-for-bit to plain CFG with weight beta, and
-with alpha = beta = 0 to the unguided sampler.  ``gen(l, t)`` is evaluated
+with alpha = beta = 0 to the unguided sampler: at alpha = 0 the reference
+model is not evaluated at all, so each step costs two forward passes
+instead of four.  ``gen(l, t)`` is evaluated
 once and shared between the base term and the CFG delta (the two
 appearances in the formula are the same forward pass algebraically).
 
@@ -105,7 +107,9 @@ def guidance_delta(model, x, time: float, positive, negative) -> np.ndarray:
 
 def simdrop_velocity(gen, ref, x, time: float, params: GuidanceParams) -> np.ndarray:
     base = gen.velocity(x, time, params.t)
-    v = base - params.alpha * guidance_delta(ref, x, time, params.t_hat, params.n_hat)
+    v = base
+    if params.alpha:  # at alpha = 0 the reference delta would be multiplied by zero
+        v = base - params.alpha * guidance_delta(ref, x, time, params.t_hat, params.n_hat)
     # base is reused for the CFG delta; algebraically identical to a second
     # gen(l, t) evaluation in the combination rule
     return v + params.beta * (base - gen.velocity(x, time, params.n))

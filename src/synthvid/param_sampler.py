@@ -457,29 +457,62 @@ def encode_preset(preset: DistributionPreset) -> str:
 _DISTRIBUTION_KEYS = {"uniform": ("low", "high"), "categorical": ("weights",),
                       "constant": ("value",)}
 
+# The values a "choice" field of FIELD_KINDS may take: an enum's values, any
+# string, or an integer.
+_CHOICES = {
+    "object_ref": str,
+    "object_animation.kind": AnimationKind,
+    "camera.focus_type": FocusType,
+    "camera.focus_position": FocusPosition,
+    "camera.movement_type": MovementType,
+    "lighting.n_lights": int,
+    "environment.scene_type": SceneType,
+    "render.quality": RenderQuality,
+    "render.engine_target": EngineTarget,
+}
 
-def _decode_distribution(spec: jsondoc.Field) -> Distribution:
+
+def _checked(value: jsondoc.Field, field: str) -> jsondoc.Field:
+    """``value`` (a bound, a category or a constant), once checked against
+    the values ``field`` can take."""
+    want = _CHOICES.get(field, int if FIELD_KINDS[field] == "int" else float)
+    if want is float:
+        value.number()
+    elif want is int:
+        if type(value.value) not in (int, float) or not value.number().is_integer():
+            raise value.error(f"expected an integer, got {value.value!r}")
+    elif want is str:
+        value.string()
+    else:
+        value.enum(want)
+    return value
+
+
+def _decode_distribution(spec: jsondoc.Field, field: str) -> Distribution:
     kind = spec["kind"].string()
     if kind not in _DISTRIBUTION_KEYS:
         raise spec["kind"].error(f"{kind!r} is not a legal value "
                                  f"(expected one of: {', '.join(_DISTRIBUTION_KEYS)})")
     spec.object(("kind",) + _DISTRIBUTION_KEYS[kind])
     if kind == "uniform":
-        return spec.make(Uniform, spec["low"].number(), spec["high"].number())
+        low, high = (_checked(spec[key], field).number() for key in ("low", "high"))
+        return spec.make(Uniform, low, high)
     if kind == "categorical":
         pairs = [pair.elements(2) for pair in spec["weights"].elements()]
-        return spec.make(Categorical, tuple((c.scalar(), w.number()) for c, w in pairs))
-    return Constant(spec["value"].scalar())
+        return spec.make(Categorical, tuple((_checked(c, field).scalar(), w.number())
+                                            for c, w in pairs))
+    return Constant(_checked(spec["value"], field).scalar())
 
 
 def decode_preset(text: str | bytes, source: str = "preset") -> DistributionPreset:
     """Parse a schema-1 preset read from ``source``.
 
     Every field of :data:`FIELD_KINDS` needs one distribution, and each
-    distribution gets its keys and value types checked; a malformed document
-    raises :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field.
+    distribution gets its keys and value types checked, and its values checked
+    against the field's kind; a malformed document raises
+    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field.
     """
     doc = jsondoc.loads(text, source).object(("schema", "name", "params")).schema()
     params = doc["params"].object(tuple(FIELD_KINDS))
     return DistributionPreset(doc["name"].string(), {
-        name.value: _decode_distribution(spec) for name, spec in params.members()})
+        name.value: _decode_distribution(spec, name.value) for name, spec in params.members()})

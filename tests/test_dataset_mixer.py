@@ -138,6 +138,11 @@ def test_pool_dir_loading(tmp_path):
     assert pool == SYN_POOL[:3]
 
 
+def test_pool_entry_without_uri_is_named_after_its_file(tmp_path):
+    (tmp_path / "clip_000.caption.json").write_text('{"caption": {"text": "x"}}')
+    assert [uri for uri, _ in load_pool_dir(tmp_path)] == ["clip_000"]
+
+
 def test_load_pool_dir_rejects_missing_directory(tmp_path):
     missing = tmp_path / "nope"
     with pytest.raises(FileNotFoundError, match=re.escape(f"pool directory not found: {missing}")):

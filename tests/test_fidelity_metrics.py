@@ -73,6 +73,21 @@ def test_spin_sees_more_points_for_shorter_tracks():
     assert mean_spin < mean_pan
 
 
+def test_full_spin_drops_a_vertex_seen_only_from_its_repeated_pose():
+    # a 360-degree spin's last frame repeats its first pose; vertex 261 of this
+    # orbit is visible in those two frames only, which give no baseline
+    cfg = make_config(movement_type=MovementType.SPIN, movement_value=360.0, n_frames=24,
+                      initial_position=(3.8644422294922363, -3.9215681943364284,
+                                        2.974837420878954),
+                      coverage=0.4672817031712623)
+    traj = generate_trajectory(cfg, CENTER, RADIUS)
+    first, last = traj.frames[0], traj.frames[-1]
+    assert (first.position == last.position).all() and (first.rotation == last.rotation).all()
+    tracks = generate_tracks(SPHERE, traj, W, H, 0.0, seed=1)
+    assert 261 not in [t.point_id for t in tracks.tracks]
+    assert recon_metrics(tracks).n_points == len(tracks)
+
+
 def test_noise_is_seeded_and_applied():
     traj = _trajectory(MovementType.SPIN, 120.0)
     a = generate_tracks(SPHERE, traj, W, H, 0.5, seed=9)

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from synthvid import flowlab
 from synthvid.flowlab import (
     EMA_DECAY,
     MOMENTUM,
@@ -24,6 +23,7 @@ from synthvid.flowlab import (
 )
 from synthvid.jsondoc import FormatError
 
+import reference_flowlab
 from flow_helpers import energy_distance, gaussian_mixture_dataset
 
 
@@ -160,6 +160,14 @@ def test_label_below_null_token_rejected():
         model.velocity(np.zeros((3, 2)), 0.5, [0, -2, -1])
 
 
+@pytest.mark.parametrize("cond", [[0, 1, 1], [[0], [1], [1], [0]]])
+def test_label_array_must_hold_one_label_per_row(cond):
+    # a (4, 1) column used to broadcast against the rows and set every row's
+    # one-hot slot for all four labels
+    with pytest.raises(ValueError, match=r"one condition label per row \(4\)"):
+        tiny_model().velocity(np.zeros((4, 2)), 0.5, cond)
+
+
 @pytest.mark.parametrize("cond", [0.7, -0.9, True, [0, 1.5]])
 def test_non_integer_label_rejected(cond):
     with pytest.raises(ValueError, match="must be integers"):
@@ -219,6 +227,12 @@ def test_labels_must_fit_cond_dim():
         train(tiny_model(cond_dim=2), bad, TrainConfig(1e-3, 10, 4, 0.0, seed=0))
 
 
+def test_points_must_fit_data_dim():
+    wide = ToyDataset(np.zeros((4, 3)), np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="points have dimension 3, expected the model's 2"):
+        train(tiny_model(), wide, TrainConfig(1e-3, 10, 4, 0.0, seed=0))
+
+
 def _per_array_train(model, dataset, cfg):
     """The momentum/EMA update written per weight array, as a reference for train."""
     model = model.copy()
@@ -232,7 +246,8 @@ def _per_array_train(model, dataset, cfg):
         conds[rng.random(cfg.batch_size) < cfg.cond_dropout] = -1
         x1 = rng.standard_normal((cfg.batch_size, model.data_dim))
         t = rng.random(cfg.batch_size)
-        _, grads = flowlab._batch_loss_and_grads(model, dataset.points[idx], x1, t, conds)
+        _, grads = reference_flowlab.batch_loss_and_grads(model, dataset.points[idx], x1, t,
+                                                          conds)
         for buf, p, g in zip(buffers, params, grads):
             buf *= MOMENTUM
             buf -= cfg.learning_rate * g

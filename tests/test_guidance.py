@@ -108,6 +108,18 @@ def test_alpha_beta_zero_reduces_to_unguided_bitwise(rng):
         assert (simdrop_velocity(gen, ref, x, time, params) == gen.velocity(x, time, 0)).all()
 
 
+def test_alpha_zero_evaluates_no_reference_model():
+    class _Unused:
+        data_dim = 1
+
+        def velocity(self, x, t, cond):
+            raise AssertionError("reference model evaluated at alpha = 0")
+
+    gen = _ScalarModel({"t": 1.0, "n": 0.4})
+    params = GuidanceParams(alpha=0.0, beta=0.3, t="t", n="n", t_hat="t_hat", n_hat="n_hat")
+    assert simdrop_velocity(gen, _Unused(), np.zeros(1), 0.5, params)[0] == 1.0 + 0.3 * 0.6
+
+
 def test_velocity_affine_in_alpha_and_beta(rng):
     gen = VelocityModel(data_dim=3, cond_dim=3, seed=5)
     ref = VelocityModel(data_dim=3, cond_dim=3, seed=6)

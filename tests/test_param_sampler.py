@@ -1,7 +1,10 @@
 import collections
+import json
+import re
 
 import pytest
 
+from synthvid.jsondoc import FormatError
 from synthvid.param_sampler import (
     Categorical,
     Constant,
@@ -165,6 +168,27 @@ def test_preset_json_round_trip(library):
     assert decoded.name == preset.name
     for seed in (5, 77):
         assert sample_config(decoded, seed) == sample_config(preset, seed)
+
+
+@pytest.mark.parametrize("field, spec, problem", [
+    ("fps", {"kind": "constant", "value": "fast"}, "fps.value: expected an integer, got 'fast'"),
+    ("n_frames", {"kind": "uniform", "low": 24.5, "high": 48},
+     "n_frames.low: expected an integer, got 24.5"),
+    ("camera.movement_type", {"kind": "constant", "value": 3},
+     "camera.movement_type.value: 3 is not a legal value (expected one of: "
+     + ", ".join(m.value for m in MovementType) + ")"),
+    ("camera.movement_type",
+     {"kind": "categorical", "weights": [["Dolly", 1.0], ["Sideways", 1.0]]},
+     "camera.movement_type.weights[1][0]: 'Sideways' is not a legal value"),
+    ("object_ref", {"kind": "uniform", "low": 0, "high": 1}, "object_ref.low: expected a string"),
+    ("camera.coverage", {"kind": "categorical", "weights": [["wide", 1.0]]},
+     "camera.coverage.weights[0][0]: expected a number"),
+])
+def test_preset_value_outside_its_field_kind_names_file_and_field(library, field, spec, problem):
+    doc = json.loads(encode_preset(library.get("random")))
+    doc["params"][field] = spec
+    with pytest.raises(FormatError, match="^" + re.escape(f"custom.json: params.{problem}")):
+        decode_preset(json.dumps(doc), "custom.json")
 
 
 def test_library_protects_builtins(library):
