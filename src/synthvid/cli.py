@@ -35,6 +35,7 @@ from .scene_config import (
     SceneType,
     decode_config,
     encode_config,
+    validate_config,
 )
 from .seeding import stream_seed
 
@@ -42,7 +43,12 @@ __all__ = ["main"]
 
 
 def _load_config(path) -> SceneConfig:
-    return decode_config(Path(path).read_bytes(), source=str(path))
+    """The config in ``path``, decoded and validated; an error names the file and each bad field."""
+    cfg = decode_config(Path(path).read_bytes(), source=str(path))
+    report = validate_config(cfg)
+    if not report.ok:
+        raise jsondoc.FormatError(f"{path}: " + "; ".join(map(str, report.violations)))
+    return cfg
 
 
 def _resolve_mesh(cfg: SceneConfig, mesh_path=None):

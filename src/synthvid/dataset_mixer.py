@@ -75,15 +75,12 @@ class MixSchedule:
             raise ValueError("total_steps must be >= 1")
 
 
-def build_manifest(synthetic, real, schedule: MixSchedule,
-                   exact_counts: bool = False) -> list[ManifestEntry]:
+def build_manifest(synthetic, real, schedule: MixSchedule) -> list[ManifestEntry]:
     """Draw ``schedule.total_steps`` entries from the two pools.
 
-    Pools are sequences of ``(uri, caption)`` pairs.  Per step the source is
-    Bernoulli(ratio) and the clip uniform within its pool, both from one
-    seeded stream (two draws per step, source then index).  With
-    ``exact_counts`` the synthetic count is fixed to ``round(ratio * steps)``
-    and only the placement is random, which is occasionally handy in tests.
+    Pools are sequences of ``(uri, caption)`` pairs.  The sources of all
+    steps are drawn first, each Bernoulli(ratio), and then the clip of each
+    step, uniform within its pool, all from one seeded stream.
     """
     synthetic = list(synthetic)
     real = list(real)
@@ -94,14 +91,7 @@ def build_manifest(synthetic, real, schedule: MixSchedule,
 
     rng = np.random.Generator(np.random.PCG64(schedule.seed))
 
-    if exact_counts:
-        n_syn = int(round(schedule.ratio * schedule.total_steps))
-        flags = np.zeros(schedule.total_steps, dtype=bool)
-        flags[:n_syn] = True
-        flags = flags[rng.permutation(schedule.total_steps)]
-    else:
-        flags = rng.random(schedule.total_steps) < schedule.ratio
-
+    flags = rng.random(schedule.total_steps) < schedule.ratio
     entries = []
     for is_synthetic in flags:
         pool, source = (synthetic, Source.SYNTHETIC) if is_synthetic else (real, Source.REAL)

@@ -240,34 +240,50 @@ def load_obj(source, color=GRAY) -> Mesh:
     """Load the v/f subset of a Wavefront OBJ file (path or text).
 
     Understands ``v x y z`` and ``f`` lines with plain or slash-qualified
-    indices; polygons are fan-triangulated, everything else is ignored.
+    indices; polygons are fan-triangulated, everything else is ignored.  A
+    malformed line raises ``ValueError`` naming the file, the line and the
+    problem.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
+        where, text = str(source), Path(source).read_text()
     else:
-        text = str(source)
+        where, text = "OBJ text", str(source)
 
     verts: list[list[float]] = []
-    tris: list[tuple[int, int, int]] = []
+    faces: list[tuple[int, list[int], list[int]]] = []  # line, indices as written, 0-based indices
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("v "):
             parts = line.split()
             if len(parts) < 4:
-                raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
-            verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                raise ValueError(f"{where}: line {lineno}: vertex needs 3 coordinates")
+            try:
+                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            except ValueError:
+                raise ValueError(f"{where}: line {lineno}: vertex coordinates must be numbers, "
+                                 f"got {' '.join(parts[1:4])!r}") from None
         elif line.startswith("f "):
-            idx = []
+            written = []
             for token in line.split()[1:]:
                 head = token.split("/")[0]
-                i = int(head)
-                if i < 0:
-                    i = len(verts) + 1 + i  # negative indices count from the end
-                idx.append(i - 1)
-            if len(idx) < 3:
-                raise ValueError(f"line {lineno}: face needs at least 3 vertices")
-            for k in range(1, len(idx) - 1):
-                tris.append((idx[0], idx[k], idx[k + 1]))
+                try:
+                    written.append(int(head))
+                except ValueError:
+                    raise ValueError(f"{where}: line {lineno}: face index {head!r} "
+                                     "is not an integer") from None
+            if len(written) < 3:
+                raise ValueError(f"{where}: line {lineno}: face needs at least 3 vertices")
+            # negative indices count back from the last vertex read so far
+            faces.append((lineno, written, [i - 1 if i > 0 else len(verts) + i for i in written]))
+
+    tris: list[tuple[int, int, int]] = []
+    for lineno, written, idx in faces:
+        for i, k in zip(written, idx):
+            if not 0 <= k < len(verts) or i == 0:
+                raise ValueError(f"{where}: line {lineno}: face index {i} names no vertex "
+                                 f"(indices run from 1 to {len(verts)}, or back from -1)")
+        for k in range(1, len(idx) - 1):
+            tris.append((idx[0], idx[k], idx[k + 1]))
     colors = [color] * len(tris)
     return _build(verts, tris, colors)
 

@@ -7,9 +7,16 @@ draw for one field never depends on which other fields were drawn, in what
 order, or whether a field was added later.  Sampling is therefore a pure
 function of ``(preset, seed)``.
 
-The draw catalogue (field names and what each one feeds) is
-:data:`FIELD_KINDS`.  Integer-valued fields interpret ``uniform(low, high)``
-as the inclusive integer range.
+:data:`FIELD_KINDS` is the one typed catalogue: it maps each field name to
+the type of the value it draws (``float``, ``int``, ``str`` or a
+:mod:`~synthvid.scene_config` enum), and every draw returns that type.
+Integer fields are counts and sizes: ``uniform(low, high)`` is the
+inclusive integer range, and no value may be negative.
+
+Every preset is checked when it is built, whether decoded from JSON or
+written in code: each bound, category and constant must be a value its
+field can take, or a :class:`~synthvid.jsondoc.FormatError` names the
+preset (or the file) and the field.
 """
 
 from __future__ import annotations
@@ -68,9 +75,6 @@ class Uniform:
     def draw(self, rng: np.random.Generator):
         return float(rng.uniform(self.low, self.high))
 
-    def draw_int(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(int(self.low), int(self.high) + 1))
-
 
 @dataclass(frozen=True)
 class Categorical:
@@ -107,110 +111,92 @@ class Categorical:
 class Constant:
     value: object
 
-    def draw(self, rng: np.random.Generator):
-        return self.value
-
-    def draw_int(self, rng: np.random.Generator) -> int:
-        return int(self.value)
-
 
 Distribution = Uniform | Categorical | Constant
 
 
-# Draw catalogue: field name -> value kind.  "float"/"int" draw one value,
-# "choice" draws from a categorical/constant, "per-light" fields draw one
-# value per light from the same stream (light 0 first).
-FIELD_KINDS: dict[str, str] = {
-    "object_ref": "choice",
-    "object_animation.kind": "choice",
-    "object_animation.rate_deg_per_s": "float",
-    "object_animation.velocity.x": "float",
-    "object_animation.velocity.y": "float",
-    "object_animation.velocity.z": "float",
-    "camera.focus_type": "choice",
-    "camera.focus_position": "choice",
-    "camera.movement_type": "choice",
-    "camera.movement_value": "float",
-    "camera.initial_position.x": "float",
-    "camera.initial_position.y": "float",
-    "camera.initial_position.z": "float",
-    "camera.coverage": "float",
-    "lighting.n_lights": "choice",
-    "lighting.position.x": "float (per-light)",
-    "lighting.position.y": "float (per-light)",
-    "lighting.position.z": "float (per-light)",
-    "lighting.color_temp": "float (per-light)",
-    "lighting.intensity": "float (per-light)",
-    "lighting.ambient_intensity": "float",
-    "environment.scene_type": "choice",
-    "environment.scene_color.r": "float",
-    "environment.scene_color.g": "float",
-    "environment.scene_color.b": "float",
-    "environment.background_color.r": "float",
-    "environment.background_color.g": "float",
-    "environment.background_color.b": "float",
-    "environment.background_color.a": "float",
-    "render.width": "int",
-    "render.height": "int",
-    "render.quality": "choice",
-    "render.engine_target": "choice",
-    "n_frames": "int",
-    "fps": "int",
+# Draw catalogue: field name -> the type of the value it draws.  The
+# lighting.position.*, lighting.color_temp and lighting.intensity fields draw
+# once per light, from one stream (light 0 first).
+FIELD_KINDS: dict[str, type] = {
+    "object_ref": str,
+    "object_animation.kind": AnimationKind,
+    "object_animation.rate_deg_per_s": float,
+    "object_animation.velocity.x": float,
+    "object_animation.velocity.y": float,
+    "object_animation.velocity.z": float,
+    "camera.focus_type": FocusType,
+    "camera.focus_position": FocusPosition,
+    "camera.movement_type": MovementType,
+    "camera.movement_value": float,
+    "camera.initial_position.x": float,
+    "camera.initial_position.y": float,
+    "camera.initial_position.z": float,
+    "camera.coverage": float,
+    "lighting.n_lights": int,
+    "lighting.position.x": float,
+    "lighting.position.y": float,
+    "lighting.position.z": float,
+    "lighting.color_temp": float,
+    "lighting.intensity": float,
+    "lighting.ambient_intensity": float,
+    "environment.scene_type": SceneType,
+    "environment.scene_color.r": float,
+    "environment.scene_color.g": float,
+    "environment.scene_color.b": float,
+    "environment.background_color.r": float,
+    "environment.background_color.g": float,
+    "environment.background_color.b": float,
+    "environment.background_color.a": float,
+    "render.width": int,
+    "render.height": int,
+    "render.quality": RenderQuality,
+    "render.engine_target": EngineTarget,
+    "n_frames": int,
+    "fps": int,
 }
 
 
 @dataclass(frozen=True)
 class DistributionPreset:
+    """A distribution for every field of :data:`FIELD_KINDS`, checked when built."""
+
     name: str
     params: dict  # field name -> Distribution
 
     def __post_init__(self):
-        missing = [f for f in FIELD_KINDS if f not in self.params]
-        if missing:
-            raise ValueError(f"preset {self.name!r} missing distributions for: {missing}")
-        unknown = [f for f in self.params if f not in FIELD_KINDS]
-        if unknown:
-            raise ValueError(f"preset {self.name!r} has unknown fields: {unknown}")
+        source = f"preset {self.name!r}"
+        jsondoc.Field(self.params, source, "params").object(tuple(FIELD_KINDS))
+        for name, spec in jsondoc.Field(_params_doc(self.params), source, "params").members():
+            _distribution(spec, name.value)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-class _FieldStreams:
-    """Lazy per-field RNG streams for one (preset, seed) sample."""
+class _Draws:
+    """The draws of one ``(preset, seed)`` sample.
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._streams: dict[str, np.random.Generator] = {}
+    Called with a field name, it returns that field's next value, of the
+    type :data:`FIELD_KINDS` gives it.  A field's stream is built on its
+    first draw, so a field that is never drawn costs nothing.
+    """
 
-    def get(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = np.random.Generator(
-                np.random.PCG64(stream_seed(self.seed, name))
-            )
-        return self._streams[name]
+    def __init__(self, preset: DistributionPreset, seed: int):
+        self.params, self.seed, self.streams = preset.params, seed, {}
 
-
-def _draw_float(preset, streams, name) -> float:
-    dist = preset.params[name]
-    if isinstance(dist, Categorical):
-        return float(dist.draw(streams.get(name)))
-    return float(dist.draw(streams.get(name)))
-
-
-def _draw_int(preset, streams, name) -> int:
-    dist = preset.params[name]
-    rng = streams.get(name)
-    if isinstance(dist, Uniform):
-        return dist.draw_int(rng)
-    if isinstance(dist, Constant):
-        return int(dist.value)
-    return int(dist.draw(rng))
-
-
-def _draw_choice(preset, streams, name):
-    return preset.params[name].draw(streams.get(name))
+    def __call__(self, field: str):
+        dist, kind = self.params[field], FIELD_KINDS[field]
+        if isinstance(dist, Constant):
+            return kind(dist.value)
+        rng = self.streams.get(field)
+        if rng is None:
+            rng = self.streams[field] = np.random.Generator(
+                np.random.PCG64(stream_seed(self.seed, field)))
+        if kind is int and isinstance(dist, Uniform):
+            return int(rng.integers(int(dist.low), int(dist.high) + 1))
+        return kind(dist.draw(rng))
 
 
 def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
@@ -221,90 +207,65 @@ def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
     Pan movements force ``focus_type = Fixed``, because re-aiming at a focus
     target would cancel the rotation those movements describe.
     """
-    streams = _FieldStreams(seed)
+    draw = _Draws(preset, seed)
 
-    object_ref = str(_draw_choice(preset, streams, "object_ref"))
-
-    kind = AnimationKind(str(_draw_choice(preset, streams, "object_animation.kind")))
+    kind = draw("object_animation.kind")
     if kind is AnimationKind.SPIN:
-        animation = ObjectAnimation.spin(
-            _draw_float(preset, streams, "object_animation.rate_deg_per_s"))
+        animation = ObjectAnimation.spin(draw("object_animation.rate_deg_per_s"))
     elif kind is AnimationKind.TRANSLATE:
-        animation = ObjectAnimation.translate((
-            _draw_float(preset, streams, "object_animation.velocity.x"),
-            _draw_float(preset, streams, "object_animation.velocity.y"),
-            _draw_float(preset, streams, "object_animation.velocity.z"),
-        ))
+        animation = ObjectAnimation.translate(
+            tuple(draw(f"object_animation.velocity.{axis}") for axis in "xyz"))
     else:
         animation = ObjectAnimation.none()
 
-    movement_type = MovementType(str(_draw_choice(preset, streams, "camera.movement_type")))
-    focus_type = FocusType(str(_draw_choice(preset, streams, "camera.focus_type")))
+    movement_type = draw("camera.movement_type")
+    focus_type = draw("camera.focus_type")
     if movement_type in (MovementType.TILT, MovementType.PAN):
         focus_type = FocusType.FIXED
     camera = CameraSpec(
         focus_type=focus_type,
-        focus_position=FocusPosition(str(_draw_choice(preset, streams, "camera.focus_position"))),
+        focus_position=draw("camera.focus_position"),
         movement_type=movement_type,
-        movement_value=_draw_float(preset, streams, "camera.movement_value"),
-        initial_position=(
-            _draw_float(preset, streams, "camera.initial_position.x"),
-            _draw_float(preset, streams, "camera.initial_position.y"),
-            _draw_float(preset, streams, "camera.initial_position.z"),
-        ),
-        coverage=_draw_float(preset, streams, "camera.coverage"),
+        movement_value=draw("camera.movement_value"),
+        initial_position=tuple(draw(f"camera.initial_position.{axis}") for axis in "xyz"),
+        coverage=draw("camera.coverage"),
     )
 
-    n_lights = _draw_int(preset, streams, "lighting.n_lights")
     lights = tuple(
         Light(
-            position=(
-                _draw_float(preset, streams, "lighting.position.x"),
-                _draw_float(preset, streams, "lighting.position.y"),
-                _draw_float(preset, streams, "lighting.position.z"),
-            ),
-            color_temp=_draw_float(preset, streams, "lighting.color_temp"),
-            intensity=_draw_float(preset, streams, "lighting.intensity"),
+            position=tuple(draw(f"lighting.position.{axis}") for axis in "xyz"),
+            color_temp=draw("lighting.color_temp"),
+            intensity=draw("lighting.intensity"),
         )
-        for _ in range(n_lights)
+        for _ in range(draw("lighting.n_lights"))
     )
-    lighting = LightingSpec(
-        lights=lights,
-        ambient_intensity=_draw_float(preset, streams, "lighting.ambient_intensity"),
-    )
+    lighting = LightingSpec(lights=lights, ambient_intensity=draw("lighting.ambient_intensity"))
 
-    scene_type = SceneType(str(_draw_choice(preset, streams, "environment.scene_type")))
+    scene_type = draw("environment.scene_type")
     if scene_type is SceneType.BASIC:
-        environment = EnvSpec(scene_type, scene_color=(
-            _draw_float(preset, streams, "environment.scene_color.r"),
-            _draw_float(preset, streams, "environment.scene_color.g"),
-            _draw_float(preset, streams, "environment.scene_color.b"),
-        ))
+        environment = EnvSpec(scene_type, scene_color=tuple(
+            draw(f"environment.scene_color.{c}") for c in "rgb"))
     else:
-        environment = EnvSpec(scene_type, background_color=(
-            _draw_float(preset, streams, "environment.background_color.r"),
-            _draw_float(preset, streams, "environment.background_color.g"),
-            _draw_float(preset, streams, "environment.background_color.b"),
-            _draw_float(preset, streams, "environment.background_color.a"),
-        ))
+        environment = EnvSpec(scene_type, background_color=tuple(
+            draw(f"environment.background_color.{c}") for c in "rgba"))
 
     render = RenderSpec(
-        width=_draw_int(preset, streams, "render.width"),
-        height=_draw_int(preset, streams, "render.height"),
-        quality=RenderQuality(str(_draw_choice(preset, streams, "render.quality"))),
-        engine_target=EngineTarget(str(_draw_choice(preset, streams, "render.engine_target"))),
+        width=draw("render.width"),
+        height=draw("render.height"),
+        quality=draw("render.quality"),
+        engine_target=draw("render.engine_target"),
     )
 
     cfg = SceneConfig(
-        object_ref=object_ref,
+        object_ref=draw("object_ref"),
         object_animation=animation,
         camera=camera,
         lighting=lighting,
         environment=environment,
         render=render,
         seed=seed,
-        n_frames=_draw_int(preset, streams, "n_frames"),
-        fps=_draw_int(preset, streams, "fps"),
+        n_frames=draw("n_frames"),
+        fps=draw("fps"),
     )
 
     report = validate_config(cfg)
@@ -404,6 +365,10 @@ def _forward_following_preset() -> DistributionPreset:
     return DistributionPreset("forward_following", params)
 
 
+_BUILTIN_PRESETS = {"random": _random_preset, "forward_only": _forward_only_preset,
+                    "forward_following": _forward_following_preset}
+
+
 @dataclass
 class PresetLibrary:
     """Named presets; always contains the three built-ins."""
@@ -411,9 +376,9 @@ class PresetLibrary:
     presets: dict
 
     def __post_init__(self):
-        for factory in (_random_preset, _forward_only_preset, _forward_following_preset):
-            built = factory()
-            self.presets.setdefault(built.name, built)
+        for name, factory in _BUILTIN_PRESETS.items():
+            if name not in self.presets:
+                self.presets[name] = factory()
 
     @classmethod
     def default(cls) -> "PresetLibrary":
@@ -426,9 +391,8 @@ class PresetLibrary:
         return self.presets[name]
 
     def add(self, preset: DistributionPreset) -> None:
-        for required in ("random", "forward_only", "forward_following"):
-            if preset.name == required:
-                raise ValueError(f"cannot replace built-in preset {required!r}")
+        if preset.name in _BUILTIN_PRESETS:
+            raise ValueError(f"cannot replace built-in preset {preset.name!r}")
         self.presets[preset.name] = preset
 
 
@@ -436,51 +400,41 @@ class PresetLibrary:
 # preset JSON (same strict dialect as configs)
 
 
-def encode_preset(preset: DistributionPreset) -> str:
+def _params_doc(params: dict) -> dict:
+    """The JSON form of a preset's ``params`` in catalogue order; a value that
+    is not a distribution stays as it is, for the check to reject."""
     def dist_doc(dist):
         if isinstance(dist, Uniform):
             return {"kind": "uniform", "low": dist.low, "high": dist.high}
         if isinstance(dist, Categorical):
-            return {"kind": "categorical",
-                    "weights": [[c, w] for c, w in dist.weights]}
-        return {"kind": "constant", "value": dist.value}
+            return {"kind": "categorical", "weights": [[c, w] for c, w in dist.weights]}
+        if isinstance(dist, Constant):
+            return {"kind": "constant", "value": dist.value}
+        return dist
 
-    doc = {
-        "schema": 1,
-        "name": preset.name,
-        "params": {f: dist_doc(preset.params[f]) for f in FIELD_KINDS},
-    }
-    return jsondoc.dumps(doc)
+    return {f: dist_doc(params[f]) for f in FIELD_KINDS}
+
+
+def encode_preset(preset: DistributionPreset) -> str:
+    return jsondoc.dumps({"schema": 1, "name": preset.name, "params": _params_doc(preset.params)})
 
 
 # JSON members of each distribution kind besides ``kind``
 _DISTRIBUTION_KEYS = {"uniform": ("low", "high"), "categorical": ("weights",),
                       "constant": ("value",)}
 
-# The values a "choice" field of FIELD_KINDS may take: an enum's values, any
-# string, or an integer.
-_CHOICES = {
-    "object_ref": str,
-    "object_animation.kind": AnimationKind,
-    "camera.focus_type": FocusType,
-    "camera.focus_position": FocusPosition,
-    "camera.movement_type": MovementType,
-    "lighting.n_lights": int,
-    "environment.scene_type": SceneType,
-    "render.quality": RenderQuality,
-    "render.engine_target": EngineTarget,
-}
-
 
 def _checked(value: jsondoc.Field, field: str) -> jsondoc.Field:
     """``value`` (a bound, a category or a constant), once checked against
     the values ``field`` can take."""
-    want = _CHOICES.get(field, int if FIELD_KINDS[field] == "int" else float)
+    want = FIELD_KINDS[field]
     if want is float:
         value.number()
     elif want is int:
         if type(value.value) not in (int, float) or not value.number().is_integer():
             raise value.error(f"expected an integer, got {value.value!r}")
+        if value.value < 0:
+            raise value.error(f"expected a nonnegative integer, got {value.value!r}")
     elif want is str:
         value.string()
     else:
@@ -488,7 +442,8 @@ def _checked(value: jsondoc.Field, field: str) -> jsondoc.Field:
     return value
 
 
-def _decode_distribution(spec: jsondoc.Field, field: str) -> Distribution:
+def _distribution(spec: jsondoc.Field, field: str) -> Distribution:
+    """The distribution ``spec`` describes, each of its values checked by :func:`_checked`."""
     kind = spec["kind"].string()
     if kind not in _DISTRIBUTION_KEYS:
         raise spec["kind"].error(f"{kind!r} is not a legal value "
@@ -509,10 +464,10 @@ def decode_preset(text: str | bytes, source: str = "preset") -> DistributionPres
 
     Every field of :data:`FIELD_KINDS` needs one distribution, and each
     distribution gets its keys and value types checked, and its values checked
-    against the field's kind; a malformed document raises
+    against the field's type; a malformed document raises
     :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field.
     """
     doc = jsondoc.loads(text, source).object(("schema", "name", "params")).schema()
     params = doc["params"].object(tuple(FIELD_KINDS))
     return DistributionPreset(doc["name"].string(), {
-        name.value: _decode_distribution(spec, name.value) for name, spec in params.members()})
+        name.value: _distribution(spec, name.value) for name, spec in params.members()})

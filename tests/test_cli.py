@@ -293,6 +293,40 @@ def test_render_bad_config_names_file_and_field(tmp_path, config_file, capsys):
     assert capsys.readouterr().err == f"error: {path}: object_ref: missing\n"
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("fps", 0, "fps: must be an integer in [1, 120]"),
+    ("render", {"width": 0, "height": 120, "quality": "Low", "engine_target": "Internal"},
+     "render.width: must be a positive integer"),
+])
+def test_render_invalid_config_names_file_and_field(tmp_path, config_file, key, value, problem,
+                                                     capsys):
+    doc = json.loads(config_file.read_text())
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "frames"
+    assert run("render", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("f 1 2 9", "line 4: face index 9 names no vertex (indices run from 1 to 3, or back from -1)"),
+    ("f 0 1 2", "line 4: face index 0 names no vertex (indices run from 1 to 3, or back from -1)"),
+    ("f -4 -2 -1", "line 4: face index -4 names no vertex"),
+    ("f 1 2 x", "line 4: face index 'x' is not an integer"),
+    ("v 0 0 zz", "line 4: vertex coordinates must be numbers, got '0 0 zz'"),
+])
+def test_bad_obj_names_file_and_line(tmp_path, config_file, text, problem, capsys):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{text}\n")
+    capsys.readouterr()
+    assert run("trajectory", "--config", str(config_file), "--mesh", str(path),
+               "--out", str(tmp_path / "traj.json")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
+
+
 def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"object_ref": "caf\xe9"}'.encode("latin-1"))

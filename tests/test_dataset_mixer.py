@@ -69,13 +69,6 @@ def test_manifest_deterministic():
     assert a == b
 
 
-def test_exact_counts_mode():
-    entries = build_manifest(SYN_POOL, REAL_POOL, MixSchedule(0.3, 1000, seed=5),
-                             exact_counts=True)
-    n_syn = sum(e.source is Source.SYNTHETIC for e in entries)
-    assert n_syn == 300
-
-
 def test_caption_domain_consistency_enforced():
     with pytest.raises(ValueError):
         ManifestEntry(uri="x", caption=real_caption("real"), source=Source.SYNTHETIC)

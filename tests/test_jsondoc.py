@@ -4,7 +4,8 @@ The fuzz starts from a valid document per decoder and draws one mutation:
 truncated text, a value replaced by any JSON value (NaN and huge integers
 included), a field retyped, a member deleted or an unknown member added.
 Each case must either decode, and then its encoding must decode back
-equal, or raise ``FormatError``; any other exception fails the test.
+equal, or raise ``FormatError``; any other exception fails the test.  A
+preset built in code must pass the same check as its decoded text.
 """
 
 import ast
@@ -12,11 +13,12 @@ import functools
 import json
 import math
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import assume, configuration, given, settings
 from hypothesis import strategies as st
 
 from synthvid import jsondoc
@@ -42,7 +44,16 @@ from synthvid.fidelity_metrics import generate_tracks, tracks_from_json, tracks_
 from synthvid.flowlab import VelocityModel, load_checkpoint, save_checkpoint
 from synthvid.jsondoc import FormatError
 from synthvid.meshes import bounding_sphere, cube
-from synthvid.param_sampler import PresetLibrary, decode_preset, encode_preset
+from synthvid.param_sampler import (
+    FIELD_KINDS,
+    Categorical,
+    Constant,
+    DistributionPreset,
+    PresetLibrary,
+    Uniform,
+    decode_preset,
+    encode_preset,
+)
 from synthvid.scene_config import (
     AnimationKind,
     EngineTarget,
@@ -230,6 +241,49 @@ def test_fuzz_decode_preset(data):
     text = encode_preset(PresetLibrary.default().get("forward_following"))
     _holds_round_trip(decode_preset, encode_preset, data.draw(mutated(text)),
                       lambda a, b: a == b)
+
+
+# preset values: every JSON scalar, the legal words, and the edge cases of each field type
+PRESET_VALUES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | st.sampled_from(WORDS + [0, -1, -2, 0.5, 24.5, 1e308, 10 ** 400, math.nan]))
+
+
+@st.composite
+def distributions(draw):
+    kind = draw(st.sampled_from(["uniform", "categorical", "constant"]))
+    if kind == "constant":
+        return Constant(draw(PRESET_VALUES))
+    try:
+        if kind == "uniform":
+            return Uniform(draw(PRESET_VALUES), draw(PRESET_VALUES))
+        weights = st.floats(0.0, 4.0) | st.sampled_from([1, True, math.inf, math.nan])
+        return Categorical(tuple(draw(st.lists(st.tuples(PRESET_VALUES, weights),
+                                               min_size=1, max_size=3))))
+    except (TypeError, ValueError):  # bounds that do not compare, or weights summing to 0
+        assume(False)
+
+
+@functools.lru_cache(maxsize=1)
+def _random_params():
+    return PresetLibrary.default().get("random").params
+
+
+@FUZZ
+@given(st.sampled_from(list(FIELD_KINDS)), distributions())
+def test_fuzz_preset_built_in_code_passes_the_decoder_check(field, dist):
+    params = {**_random_params(), field: dist}
+    text = encode_preset(types.SimpleNamespace(name="fuzz", params=params))
+    try:
+        decode_preset(text)
+        decodes = True
+    except FormatError:
+        decodes = False
+    try:
+        DistributionPreset("fuzz", params)
+        builds = True
+    except FormatError:
+        builds = False
+    assert builds == decodes
 
 
 @FUZZ

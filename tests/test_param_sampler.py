@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import re
 
@@ -16,7 +17,7 @@ from synthvid.param_sampler import (
     sample_batch,
     sample_config,
 )
-from synthvid.scene_config import FocusType, MovementType, validate_config
+from synthvid.scene_config import FocusType, MovementType, encode_config, validate_config
 from synthvid.seeding import derive_seed
 
 
@@ -91,6 +92,21 @@ def test_field_streams_are_independent_of_other_fields(library):
         assert a.camera == b.camera
         assert a.lighting == b.lighting
         assert a.n_frames == b.n_frames
+
+
+# SHA-256 over encode_config(sample_config(preset, seed)) for seeds 0-199.  Any
+# change to a field's stream label or draws changes these digests; such a
+# change needs an explicit stream-version bump, not a new digest.
+@pytest.mark.parametrize("name, digest", [
+    ("random", "fa5795b354c7c25ba1511783ce78cbb7135ce2a9a1372f67081534f04bd26cea"),
+    ("forward_only", "5d735301e778f7d6cfb5bcc0594573e58016076e250a0bd0da9fe183c61860f0"),
+    ("forward_following", "df92cecb91ac1a37ea49c558322c6c175a776e9f15dd85d7017b55267046f8de"),
+])
+def test_sampled_configs_are_pinned(library, name, digest):
+    h = hashlib.sha256()
+    for seed in range(200):
+        h.update(encode_config(sample_config(library.get(name), seed)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_batch_element_matches_derived_seed(library):
@@ -189,6 +205,37 @@ def test_preset_value_outside_its_field_kind_names_file_and_field(library, field
     doc["params"][field] = spec
     with pytest.raises(FormatError, match="^" + re.escape(f"custom.json: params.{problem}")):
         decode_preset(json.dumps(doc), "custom.json")
+
+
+@pytest.mark.parametrize("field, dist, problem", [
+    ("fps", Constant("fast"), "fps.value: expected an integer, got 'fast'"),
+    ("camera.movement_type", Constant(3), "camera.movement_type.value: 3 is not a legal value"),
+    ("lighting.n_lights", Constant(-2),
+     "lighting.n_lights.value: expected a nonnegative integer, got -2"),
+    ("lighting.n_lights", Categorical(((1, 0.5), (-1, 0.5))),
+     "lighting.n_lights.weights[1][0]: expected a nonnegative integer, got -1"),
+    ("render.width", Uniform(-4, 160), "render.width.low: expected a nonnegative integer, got -4"),
+    ("camera.coverage", 0.5, "camera.coverage: expected a JSON object"),
+])
+def test_preset_built_in_code_is_checked_like_a_decoded_one(library, field, dist, problem):
+    params = {**library.get("random").params, field: dist}
+    with pytest.raises(FormatError, match="^" + re.escape(f"preset 'py': params.{problem}")):
+        library.add(DistributionPreset("py", params))
+    assert "py" not in library.presets
+
+
+def test_decoded_negative_light_count_names_file_and_field(library):
+    doc = json.loads(encode_preset(library.get("random")))
+    doc["params"]["lighting.n_lights"] = {"kind": "constant", "value": -2}
+    with pytest.raises(FormatError, match="^" + re.escape(
+            "custom.json: params.lighting.n_lights.value: expected a nonnegative integer, got -2")):
+        decode_preset(json.dumps(doc), "custom.json")
+
+
+def test_preset_with_an_unknown_field_names_it(library):
+    params = {**library.get("random").params, "camera.roll": Constant(0.0)}
+    with pytest.raises(FormatError, match=r"^preset 'py': params\.camera\.roll: unknown field$"):
+        DistributionPreset("py", params)
 
 
 def test_library_protects_builtins(library):
