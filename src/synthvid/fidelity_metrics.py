@@ -3,9 +3,12 @@
 Feature tracks come straight from ground truth: every mesh vertex becomes a
 candidate point, observed in each frame where it falls inside the frustum
 on a front-facing triangle (optionally with Gaussian pixel noise).  Tracks
-are triangulated by homogeneous linear least squares over all observing
-frames, and the reprojection residuals summarize how 3D-consistent the
-observations are:
+are triangulated by homogeneous linear least squares (DLT) over all
+observing frames, and the reprojection residuals summarize how
+3D-consistent the observations are.  Tracks of one length share one
+stacked SVD, and each frame's camera reprojects every point it observes in
+one call, so a track set costs one solve per distinct track length and one
+projection per frame:
 
 * N  - number of reconstructed 3D tracks,
 * T  - mean track length (observations per track),
@@ -82,6 +85,9 @@ class Track:
             raise ValueError("a track needs at least two observations")
         if (np.diff(frames) <= 0).any():
             raise ValueError("observation frame indices must be strictly increasing")
+        if not np.isfinite(pixels).all():
+            bad = pixels[~np.isfinite(pixels).all(axis=1)][0].tolist()
+            raise ValueError(f"track {self.point_id}: pixels: {bad} is not finite")
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "pixels", pixels)
         if self.true_point is not None:
@@ -98,6 +104,15 @@ class FeatureTrackSet:
     cameras: CameraTrajectory
     width: int
     height: int
+
+    def __post_init__(self):
+        n_cameras = len(self.cameras)
+        for track in self.tracks:
+            # frames are strictly increasing, so the ends bound them all
+            if track.frames[0] < 0 or track.frames[-1] >= n_cameras:
+                bad = track.frames[(track.frames < 0) | (track.frames >= n_cameras)][0]
+                raise ValueError(f"track {track.point_id}: frames: frame index {bad} names "
+                                 f"no camera (the set has {n_cameras})")
 
     def __len__(self):
         return len(self.tracks)
@@ -168,6 +183,47 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
 # ---------------------------------------------------------------------------
 # triangulation
 
+_DEGENERACY = (
+    "observing cameras share one center (no baseline)",
+    "rank-deficient triangulation system",
+    "triangulated point at infinity",
+)
+
+
+def _dlt(projections: np.ndarray, centers: np.ndarray,
+         pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear least-squares (DLT) points of m tracks of L observations each.
+
+    ``projections`` (m, L, 3, 4) and ``centers`` (m, L, 3) are the observing
+    cameras' projection matrices and positions, ``pixels`` (m, L, 2) the
+    observations.  Each track contributes the rows ``u*p[2] - p[0]`` and
+    ``v*p[2] - p[1]`` per observation, and its point is the right singular
+    vector of the smallest singular value; all m systems go through one
+    stacked SVD.  Returns the points (m, 3), NaN where degenerate, and per
+    track the index into ``_DEGENERACY`` of why it is degenerate, or -1.
+    """
+    m, length = pixels.shape[:2]
+    points = np.full((m, 3), np.nan)
+    reason = np.full(m, -1)
+    spread = np.linalg.norm(centers - centers[:, :1], axis=2).max(axis=1)
+    reason[spread < _MIN_BASELINE] = 0
+    solve = np.flatnonzero(reason < 0)
+
+    p = projections[solve]
+    design = np.empty((len(solve), length, 2, 4))   # rows interleaved u then v
+    design[:, :, 0] = pixels[solve, :, 0, None] * p[:, :, 2] - p[:, :, 0]
+    design[:, :, 1] = pixels[solve, :, 1, None] * p[:, :, 2] - p[:, :, 1]
+    # thin SVD: U is never used
+    _, singular, vt = np.linalg.svd(design.reshape(len(solve), 2 * length, 4),
+                                    full_matrices=False)
+    solution = vt[:, -1]
+    rank_deficient = singular[:, 2] < 1e-12 * singular[:, 0]
+    at_infinity = np.abs(solution[:, 3]) < 1e-12 * np.linalg.norm(solution[:, :3], axis=1)
+    reason[solve] = np.where(rank_deficient, 1, np.where(at_infinity, 2, -1))
+    good = ~(rank_deficient | at_infinity)
+    points[solve[good]] = solution[good, :3] / solution[good, 3:]
+    return points, reason
+
 
 def triangulate(track: Track, cameras: CameraTrajectory,
                 width: int, height: int) -> np.ndarray:
@@ -179,27 +235,64 @@ def triangulate(track: Track, cameras: CameraTrajectory,
     """
     if len(track) < 2:
         raise ValueError("triangulation needs at least two observations")
-
     frames = [cameras.frames[k] for k in track.frames]
-    positions = np.stack([c.position for c in frames])
-    spread = np.linalg.norm(positions - positions[0], axis=1).max()
-    if spread < _MIN_BASELINE:
-        raise DegenerateGeometryError("observing cameras share one center (no baseline)")
+    projections = np.stack([c.projection_matrix(width, height) for c in frames])
+    centers = np.stack([c.position for c in frames])
+    points, reason = _dlt(projections[None], centers[None], track.pixels[None])
+    if reason[0] >= 0:
+        raise DegenerateGeometryError(_DEGENERACY[reason[0]])
+    return points[0]
 
-    rows = []
-    for camera, (u, v) in zip(frames, track.pixels):
-        p = camera.projection_matrix(width, height)
-        rows.append(u * p[2] - p[0])
-        rows.append(v * p[2] - p[1])
-    design = np.stack(rows)
 
-    _, singular, vt = np.linalg.svd(design)
-    if singular[2] < 1e-12 * singular[0]:
-        raise DegenerateGeometryError("rank-deficient triangulation system")
-    solution = vt[-1]
-    if abs(solution[3]) < 1e-12 * np.linalg.norm(solution[:3]):
-        raise DegenerateGeometryError("triangulated point at infinity")
-    return solution[:3] / solution[3]
+def _reconstruct(track_set: FeatureTrackSet):
+    """Triangulate every track and reproject it into its observing frames.
+
+    Tracks are grouped by length, one :func:`_dlt` call per group; each
+    frame's camera then projects every triangulated point it observes in
+    one call.  Returns ``(points (n, 3), kept (n,), errors (n,), residuals)``
+    where ``kept`` marks tracks that are non-degenerate and in front of
+    every observing camera, ``errors`` is each track's mean residual (NaN
+    where not kept) and ``residuals`` holds the pixel error of every
+    observation, track by track in observation order (NaN where the point
+    is degenerate or behind the camera).
+    """
+    tracks, cams = track_set.tracks, track_set.cameras.frames
+    width, height = track_set.width, track_set.height
+    lengths = np.array([len(t) for t in tracks])
+    starts = np.cumsum(lengths) - lengths
+    frames = np.concatenate([t.frames for t in tracks])
+    pixels = np.concatenate([t.pixels for t in tracks])
+    owner = np.repeat(np.arange(len(tracks)), lengths)
+    projections = np.stack([c.projection_matrix(width, height) for c in cams])
+    positions = np.stack([c.position for c in cams])
+
+    points = np.empty((len(tracks), 3))
+    triangulated = np.empty(len(tracks), dtype=bool)
+    groups = []
+    for length in np.unique(lengths):
+        members = np.flatnonzero(lengths == length)
+        obs = starts[members, None] + np.arange(length)   # (m, L) observation indices
+        points[members], reason = _dlt(projections[frames[obs]], positions[frames[obs]],
+                                       pixels[obs])
+        triangulated[members] = reason < 0
+        groups.append((members, obs))
+
+    residuals = np.full(len(frames), np.nan)
+    behind = np.zeros(len(frames), dtype=bool)
+    live = np.flatnonzero(triangulated[owner])
+    by_frame = live[np.argsort(frames[live], kind="stable")]
+    bounds = np.searchsorted(frames[by_frame], np.arange(len(cams) + 1))
+    for k, camera in enumerate(cams):
+        sel = by_frame[bounds[k]:bounds[k + 1]]
+        xy, _, behind[sel] = camera.project(points[owner[sel]], width, height)
+        residuals[sel] = np.linalg.norm(xy - pixels[sel], axis=1)
+
+    kept = triangulated.copy()
+    kept[owner[behind]] = False
+    errors = np.empty(len(tracks))
+    for members, obs in groups:
+        errors[members] = residuals[obs].mean(axis=1)
+    return points, kept, errors, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -239,42 +332,25 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
     if len(track_set) == 0:
         raise EmptyTrackSetError("track set is empty")
 
-    per_track_errors = []   # mean pixel error per kept track
-    per_track_lengths = []
-    per_track_residuals = []  # all observation residuals per kept track
-    for track in track_set.tracks:
-        try:
-            point = triangulate(track, track_set.cameras, track_set.width, track_set.height)
-        except DegenerateGeometryError:
-            continue
-        residuals = np.empty(len(track))
-        for i, (k, observed) in enumerate(zip(track.frames, track.pixels)):
-            xy, _, behind = track_set.cameras.frames[k].project(point, track_set.width,
-                                                                track_set.height)
-            if behind[0]:
-                break
-            residuals[i] = np.linalg.norm(xy[0] - observed)
-        else:
-            per_track_errors.append(float(residuals.mean()))
-            per_track_lengths.append(len(track))
-            per_track_residuals.append(residuals)
-
-    n = len(per_track_errors)
+    _, kept, errors, residuals = _reconstruct(track_set)
+    n = int(kept.sum())
     if n == 0:
         return ReconMetrics(n_points=0, mean_track_length=float("nan"),
                             reproj_error=float("nan"), reproj_error_top1000=float("nan"))
 
-    all_residuals = np.concatenate(per_track_residuals)
-    # keep selected tracks in their original order so that with N <= K the
-    # restricted mean is computed over the identical summation order
-    selected = np.sort(np.argsort(per_track_errors, kind="stable")[:TOP_K_TRACKS])
-    top_residuals = np.concatenate([per_track_residuals[i] for i in selected])
+    lengths = np.array([len(t) for t in track_set.tracks])
+    # boolean masks keep the selected tracks in their original order, so that
+    # with N <= K the restricted mean is computed over the identical summation
+    # order
+    kept_ids = np.flatnonzero(kept)
+    top = np.zeros(len(lengths), dtype=bool)
+    top[kept_ids[np.argsort(errors[kept_ids], kind="stable")[:TOP_K_TRACKS]]] = True
 
     return ReconMetrics(
         n_points=n,
-        mean_track_length=float(np.mean(per_track_lengths)),
-        reproj_error=float(all_residuals.mean()),
-        reproj_error_top1000=float(top_residuals.mean()),
+        mean_track_length=float(np.mean(lengths[kept])),
+        reproj_error=float(residuals[np.repeat(kept, lengths)].mean()),
+        reproj_error_top1000=float(residuals[np.repeat(top, lengths)].mean()),
     )
 
 

@@ -7,6 +7,7 @@ never sees a degenerate face.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -258,10 +259,14 @@ def load_obj(source, color=GRAY) -> Mesh:
             if len(parts) < 4:
                 raise ValueError(f"{where}: line {lineno}: vertex needs 3 coordinates")
             try:
-                verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                vertex = [float(parts[1]), float(parts[2]), float(parts[3])]
             except ValueError:
                 raise ValueError(f"{where}: line {lineno}: vertex coordinates must be numbers, "
                                  f"got {' '.join(parts[1:4])!r}") from None
+            if not all(map(math.isfinite, vertex)):
+                raise ValueError(f"{where}: line {lineno}: vertex coordinates must be finite, "
+                                 f"got {' '.join(parts[1:4])!r}")
+            verts.append(vertex)
         elif line.startswith("f "):
             written = []
             for token in line.split()[1:]:

@@ -317,6 +317,8 @@ def test_render_invalid_config_names_file_and_field(tmp_path, config_file, key, 
     ("f -4 -2 -1", "line 4: face index -4 names no vertex"),
     ("f 1 2 x", "line 4: face index 'x' is not an integer"),
     ("v 0 0 zz", "line 4: vertex coordinates must be numbers, got '0 0 zz'"),
+    ("v nan 0 0", "line 4: vertex coordinates must be finite, got 'nan 0 0'"),
+    ("v 0 -inf 0", "line 4: vertex coordinates must be finite, got '0 -inf 0'"),
 ])
 def test_bad_obj_names_file_and_line(tmp_path, config_file, text, problem, capsys):
     path = tmp_path / "bad.obj"

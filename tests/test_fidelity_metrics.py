@@ -104,6 +104,24 @@ def test_track_type_invariants():
         Track(point_id=0, frames=[3, 1], pixels=[[0.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_track_rejects_non_finite_pixels(bad):
+    # a NaN pixel would break the stacked SVD of every track of its length
+    with pytest.raises(ValueError) as info:
+        Track(point_id=12, frames=[0, 1, 2], pixels=[[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+    assert str(info.value) == f"track 12: pixels: [3.0, {bad}] is not finite"
+
+
+@pytest.mark.parametrize("frames, bad", [([0, 3], 3), ([-1, 1], -1)])
+def test_track_set_rejects_a_frame_with_no_camera(frames, bad):
+    traj = _trajectory(MovementType.SPIN, 90.0, n_frames=3)
+    good = Track(point_id=4, frames=[0, 2], pixels=[[1.0, 2.0], [3.0, 4.0]])
+    stray = Track(point_id=8, frames=frames, pixels=[[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(ValueError) as info:
+        FeatureTrackSet((good, stray), traj, W, H)
+    assert str(info.value) == f"track 8: frames: frame index {bad} names no camera (the set has 3)"
+
+
 # -- triangulation --
 
 
@@ -332,6 +350,8 @@ BAD_TRACK_DOCS = {
                        "tracks[2].observations: frame index -1 is not an integer in [0, 6)"),
     "fractional frame": (_set(["tracks", 2, "observations", 0, 0], 0.5),
                          "tracks[2].observations: frame index 0.5 is not an integer in [0, 6)"),
+    "non-finite pixel": (_set(["tracks", 1, "observations", 0, 2], float("nan")),
+                         "tracks[1].observations: expected a n x 3 array of numbers"),
     "single observation": (_set(["tracks", 0, "observations", slice(1, None)], []),
                            "tracks[0]: a track needs at least two observations"),
 }
