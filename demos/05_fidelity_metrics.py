@@ -11,10 +11,7 @@ numerical precision.
 import numpy as np
 
 from synthvid.camera_rig import generate_trajectory
-from synthvid.fidelity_metrics import (
-    PoseConfidenceGrid, REFERENCE_POSE_CONFIDENCE, generate_tracks,
-    pose_confidence, recon_metrics,
-)
+from synthvid.fidelity_metrics import generate_tracks, recon_metrics
 from synthvid.meshes import bounding_sphere, uv_sphere
 from synthvid.scene_config import (
     CameraSpec, EnvSpec, FocusPosition, FocusType, Light, LightingSpec,
@@ -57,7 +54,3 @@ print("\nreprojection error under pixel noise (spin 360):")
 for sigma in (0.0, 0.5, 1.0, 2.0):
     _, metrics = run(MovementType.SPIN, 360.0, FocusType.FOLLOW, sigma=sigma, seed=3)
     print(f"  sigma={sigma:>4}: e = {metrics.reproj_error:.4f} px")
-
-grid = PoseConfidenceGrid(np.clip(np.random.default_rng(5).normal(0.8, 0.1, (48, 17)), 0, 1))
-print(f"\npose confidence of a toy grid: {pose_confidence(grid):.3f} "
-      f"(published reference points: {REFERENCE_POSE_CONFIDENCE})")

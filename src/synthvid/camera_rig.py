@@ -50,7 +50,6 @@ __all__ = [
     "ConfigConflictError",
     "DegenerateLookAtError",
     "PinholeCamera",
-    "FOCUS_OFFSET_FACTOR",
     "WORLD_UP",
     "focal_from_coverage",
     "generate_trajectory",
@@ -65,7 +64,7 @@ WORLD_UP = np.array([0.0, 0.0, 1.0])
 
 # Upper/Lower focus targets sit this fraction of the bounding radius above
 # or below the object center.
-FOCUS_OFFSET_FACTOR = 0.75
+_FOCUS_OFFSET_FACTOR = 0.75
 
 DEFAULT_SENSOR_HEIGHT_MM = 24.0
 
@@ -233,9 +232,9 @@ def object_center_at(animation: ObjectAnimation, center: np.ndarray,
 
 def _focus_point(center: np.ndarray, radius: float, focus_position: FocusPosition) -> np.ndarray:
     offset = {
-        FocusPosition.UPPER: FOCUS_OFFSET_FACTOR * radius,
+        FocusPosition.UPPER: _FOCUS_OFFSET_FACTOR * radius,
         FocusPosition.CENTER: 0.0,
-        FocusPosition.LOWER: -FOCUS_OFFSET_FACTOR * radius,
+        FocusPosition.LOWER: -_FOCUS_OFFSET_FACTOR * radius,
     }[focus_position]
     return center + offset * WORLD_UP
 

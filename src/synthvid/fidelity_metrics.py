@@ -36,15 +36,11 @@ __all__ = [
     "DegenerateGeometryError",
     "EmptyTrackSetError",
     "FeatureTrackSet",
-    "KEYPOINT_COUNT",
-    "PoseConfidenceGrid",
-    "REFERENCE_POSE_CONFIDENCE",
     "ReconMetrics",
     "TOP_K_TRACKS",
     "Track",
     "generate_tracks",
     "metrics_to_json_dict",
-    "pose_confidence",
     "read_tracks",
     "recon_metrics",
     "tracks_from_json",
@@ -54,12 +50,6 @@ __all__ = [
 ]
 
 TOP_K_TRACKS = 1000
-KEYPOINT_COUNT = 17
-
-# Published pose-confidence reference points shown alongside our reports for
-# context (gymnastics / dance clips of a strong video model).
-REFERENCE_POSE_CONFIDENCE = {"gym": 0.791, "dance": 0.837}
-
 _MIN_BASELINE = 1e-9
 
 
@@ -316,7 +306,6 @@ def metrics_to_json_dict(metrics: ReconMetrics) -> dict:
         "mean_track_length": scrub(metrics.mean_track_length),
         "reproj_error_px": scrub(metrics.reproj_error),
         "reproj_error_top1000_px": scrub(metrics.reproj_error_top1000),
-        "reference_pose_confidence": dict(REFERENCE_POSE_CONFIDENCE),
     }
 
 
@@ -352,28 +341,6 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
         reproj_error=float(residuals[np.repeat(kept, lengths)].mean()),
         reproj_error_top1000=float(residuals[np.repeat(top, lengths)].mean()),
     )
-
-
-@dataclass(frozen=True)
-class PoseConfidenceGrid:
-    """Per-frame, per-keypoint detector confidences in [0, 1] (17 keypoints)."""
-
-    confidences: np.ndarray  # (n_frames, 17)
-
-    def __post_init__(self):
-        grid = np.asarray(self.confidences, dtype=float)
-        if grid.ndim != 2 or grid.shape[1] != KEYPOINT_COUNT:
-            raise ValueError(f"confidence grid must be (n_frames, {KEYPOINT_COUNT})")
-        if grid.size and ((grid < 0.0) | (grid > 1.0)).any():
-            raise ValueError("confidences must lie in [0, 1]")
-        object.__setattr__(self, "confidences", grid)
-
-
-def pose_confidence(grid: PoseConfidenceGrid) -> float:
-    """Unweighted mean confidence over all (frame, keypoint) cells."""
-    if grid.confidences.size == 0:
-        raise ValueError("confidence grid is empty")
-    return float(grid.confidences.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ __all__ = [
     "TAGGED_SYNTHETIC_LABEL",
     "REFERENCE_LABEL",
     "TOY_COND_DIM",
-    "SYNTHETIC_Z_MEAN",
     "ToyDataset",
     "TrainConfig",
     "VelocityModel",
@@ -74,7 +73,7 @@ TAGGED_SYNTHETIC_LABEL = 1
 REFERENCE_LABEL = 2
 TOY_COND_DIM = 3
 
-SYNTHETIC_Z_MEAN = 2.0
+_SYNTHETIC_Z_MEAN = 2.0
 _Z_SIGMA = 0.1
 
 
@@ -309,7 +308,7 @@ def toy_synthetic_dataset(n: int, seed: int,
                           label: int = TAGGED_SYNTHETIC_LABEL) -> ToyDataset:
     """Full circle, artifact coordinate z ~ N(2, 0.1^2)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return ToyDataset(_circle_points(n, rng, 2.0 * np.pi, SYNTHETIC_Z_MEAN),
+    return ToyDataset(_circle_points(n, rng, 2.0 * np.pi, _SYNTHETIC_Z_MEAN),
                       np.full(n, label))
 
 
@@ -320,7 +319,7 @@ def toy_mixed_dataset(n: int, seed: int, synthetic_share: float = 0.5) -> ToyDat
     rng = np.random.Generator(np.random.PCG64(seed))
     n_syn = int(round(synthetic_share * n))
     real = _circle_points(n - n_syn, rng, np.pi, 0.0)
-    syn = _circle_points(n_syn, rng, 2.0 * np.pi, SYNTHETIC_Z_MEAN)
+    syn = _circle_points(n_syn, rng, 2.0 * np.pi, _SYNTHETIC_Z_MEAN)
     points = np.concatenate([real, syn])
     labels = np.concatenate([np.full(n - n_syn, REAL_LABEL),
                              np.full(n_syn, TAGGED_SYNTHETIC_LABEL)])

@@ -7,16 +7,16 @@ draw for one field never depends on which other fields were drawn, in what
 order, or whether a field was added later.  Sampling is therefore a pure
 function of ``(preset, seed)``.
 
-:data:`FIELD_KINDS` is the one typed catalogue: it maps each field name to
-the type of the value it draws (``float``, ``int``, ``str`` or a
-:mod:`~synthvid.scene_config` enum), and every draw returns that type.
-Integer fields are counts and sizes: ``uniform(low, high)`` is the
-inclusive integer range, and no value may be negative.
+The fields a preset draws, their types and their legal values are the
+field table, :data:`~synthvid.scene_config.FIELDS`; every draw returns its
+field's type.  For an integer field ``uniform(low, high)`` is the
+inclusive integer range.
 
 Every preset is checked when it is built, whether decoded from JSON or
-written in code: each bound, category and constant must be a value its
-field can take, or a :class:`~synthvid.jsondoc.FormatError` names the
-preset (or the file) and the field.
+written in code: each bound, category and constant must be a legal value
+of its field, or a :class:`~synthvid.jsondoc.FormatError` names the preset
+(or the file) and the field.  So every value a preset draws passes
+:func:`~synthvid.scene_config.validate_config`'s check of its field.
 """
 
 from __future__ import annotations
@@ -27,17 +27,15 @@ import numpy as np
 
 from . import jsondoc
 from .scene_config import (
+    FIELDS,
     AnimationKind,
     CameraSpec,
-    EngineTarget,
     EnvSpec,
-    FocusPosition,
     FocusType,
     Light,
     LightingSpec,
     MovementType,
     ObjectAnimation,
-    RenderQuality,
     RenderSpec,
     SceneConfig,
     SceneType,
@@ -49,7 +47,6 @@ __all__ = [
     "Categorical",
     "Constant",
     "DistributionPreset",
-    "FIELD_KINDS",
     "PresetLibrary",
     "Uniform",
     "decode_preset",
@@ -115,58 +112,16 @@ class Constant:
 Distribution = Uniform | Categorical | Constant
 
 
-# Draw catalogue: field name -> the type of the value it draws.  The
-# lighting.position.*, lighting.color_temp and lighting.intensity fields draw
-# once per light, from one stream (light 0 first).
-FIELD_KINDS: dict[str, type] = {
-    "object_ref": str,
-    "object_animation.kind": AnimationKind,
-    "object_animation.rate_deg_per_s": float,
-    "object_animation.velocity.x": float,
-    "object_animation.velocity.y": float,
-    "object_animation.velocity.z": float,
-    "camera.focus_type": FocusType,
-    "camera.focus_position": FocusPosition,
-    "camera.movement_type": MovementType,
-    "camera.movement_value": float,
-    "camera.initial_position.x": float,
-    "camera.initial_position.y": float,
-    "camera.initial_position.z": float,
-    "camera.coverage": float,
-    "lighting.n_lights": int,
-    "lighting.position.x": float,
-    "lighting.position.y": float,
-    "lighting.position.z": float,
-    "lighting.color_temp": float,
-    "lighting.intensity": float,
-    "lighting.ambient_intensity": float,
-    "environment.scene_type": SceneType,
-    "environment.scene_color.r": float,
-    "environment.scene_color.g": float,
-    "environment.scene_color.b": float,
-    "environment.background_color.r": float,
-    "environment.background_color.g": float,
-    "environment.background_color.b": float,
-    "environment.background_color.a": float,
-    "render.width": int,
-    "render.height": int,
-    "render.quality": RenderQuality,
-    "render.engine_target": EngineTarget,
-    "n_frames": int,
-    "fps": int,
-}
-
-
 @dataclass(frozen=True)
 class DistributionPreset:
-    """A distribution for every field of :data:`FIELD_KINDS`, checked when built."""
+    """A distribution for every field of the field table, checked when built."""
 
     name: str
     params: dict  # field name -> Distribution
 
     def __post_init__(self):
         source = f"preset {self.name!r}"
-        jsondoc.Field(self.params, source, "params").object(tuple(FIELD_KINDS))
+        jsondoc.Field(self.params, source, "params").object(tuple(FIELDS))
         for name, spec in jsondoc.Field(_params_doc(self.params), source, "params").members():
             _distribution(spec, name.value)
 
@@ -179,7 +134,7 @@ class _Draws:
     """The draws of one ``(preset, seed)`` sample.
 
     Called with a field name, it returns that field's next value, of the
-    type :data:`FIELD_KINDS` gives it.  A field's stream is built on its
+    type the field table gives it.  A field's stream is built on its
     first draw, so a field that is never drawn costs nothing.
     """
 
@@ -187,7 +142,7 @@ class _Draws:
         self.params, self.seed, self.streams = preset.params, seed, {}
 
     def __call__(self, field: str):
-        dist, kind = self.params[field], FIELD_KINDS[field]
+        dist, kind = self.params[field], FIELDS[field].kind
         if isinstance(dist, Constant):
             return kind(dist.value)
         rng = self.streams.get(field)
@@ -231,6 +186,7 @@ def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
         coverage=draw("camera.coverage"),
     )
 
+    # the per-light fields draw once per light from one stream, light 0 first
     lights = tuple(
         Light(
             position=tuple(draw(f"lighting.position.{axis}") for axis in "xyz"),
@@ -270,8 +226,9 @@ def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
 
     report = validate_config(cfg)
     if not report.ok:
-        # Presets are validated at construction, so this indicates a preset
-        # whose ranges escape the config invariants.
+        # Every drawn value passed its field's rule when the preset was built,
+        # so only a rule across fields can fail here: a camera at the origin,
+        # no light and no ambient, or width*height over the pixel budget.
         raise ValueError(f"preset {preset.name!r} produced an invalid config:\n{report}")
     return cfg
 
@@ -412,7 +369,7 @@ def _params_doc(params: dict) -> dict:
             return {"kind": "constant", "value": dist.value}
         return dist
 
-    return {f: dist_doc(params[f]) for f in FIELD_KINDS}
+    return {f: dist_doc(params[f]) for f in FIELDS}
 
 
 def encode_preset(preset: DistributionPreset) -> str:
@@ -423,23 +380,35 @@ def encode_preset(preset: DistributionPreset) -> str:
 _DISTRIBUTION_KEYS = {"uniform": ("low", "high"), "categorical": ("weights",),
                       "constant": ("value",)}
 
+# A uniform bound past 2**53 names no single integer, and the width of a
+# wider range overflows the draw.
+_MAX_BOUND = 2.0 ** 53
+
 
 def _checked(value: jsondoc.Field, field: str) -> jsondoc.Field:
     """``value`` (a bound, a category or a constant), once checked against
-    the values ``field`` can take."""
-    want = FIELD_KINDS[field]
-    if want is float:
-        value.number()
-    elif want is int:
+    ``field``'s rule in the field table."""
+    rule = FIELDS[field]
+    if rule.kind is float:
+        typed = value.number()
+    elif rule.kind is int:
         if type(value.value) not in (int, float) or not value.number().is_integer():
             raise value.error(f"expected an integer, got {value.value!r}")
-        if value.value < 0:
-            raise value.error(f"expected a nonnegative integer, got {value.value!r}")
-    elif want is str:
-        value.string()
+        typed = int(value.value)
+    elif rule.kind is str:
+        typed = value.string()
     else:
-        value.enum(want)
+        typed = value.enum(rule.kind)
+    if not rule.holds(typed):
+        raise value.error(f"{rule.message}, got {value.value!r}")
     return value
+
+
+def _bound(value: jsondoc.Field, field: str) -> float:
+    bound = _checked(value, field).number()
+    if abs(bound) > _MAX_BOUND:
+        raise value.error(f"a uniform bound must lie in [-2**53, 2**53], got {bound!r}")
+    return bound
 
 
 def _distribution(spec: jsondoc.Field, field: str) -> Distribution:
@@ -450,7 +419,7 @@ def _distribution(spec: jsondoc.Field, field: str) -> Distribution:
                                  f"(expected one of: {', '.join(_DISTRIBUTION_KEYS)})")
     spec.object(("kind",) + _DISTRIBUTION_KEYS[kind])
     if kind == "uniform":
-        low, high = (_checked(spec[key], field).number() for key in ("low", "high"))
+        low, high = (_bound(spec[key], field) for key in ("low", "high"))
         return spec.make(Uniform, low, high)
     if kind == "categorical":
         pairs = [pair.elements(2) for pair in spec["weights"].elements()]
@@ -462,12 +431,12 @@ def _distribution(spec: jsondoc.Field, field: str) -> Distribution:
 def decode_preset(text: str | bytes, source: str = "preset") -> DistributionPreset:
     """Parse a schema-1 preset read from ``source``.
 
-    Every field of :data:`FIELD_KINDS` needs one distribution, and each
+    Every field of the field table needs one distribution, and each
     distribution gets its keys and value types checked, and its values checked
-    against the field's type; a malformed document raises
+    against the field's rule; a malformed document raises
     :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field.
     """
     doc = jsondoc.loads(text, source).object(("schema", "name", "params")).schema()
-    params = doc["params"].object(tuple(FIELD_KINDS))
+    params = doc["params"].object(tuple(FIELDS))
     return DistributionPreset(doc["name"].string(), {
         name.value: _distribution(spec, name.value) for name, spec in params.members()})

@@ -9,6 +9,11 @@ rejected); a malformed document raises
 :func:`validate_config` reports every violated invariant instead of
 raising, so callers can surface all problems at once.
 
+:data:`FIELDS` is the one field table: for each field a preset draws, it
+gives the value type, the legal-value test and the message a violation
+reports.  :func:`validate_config` tests every field against it, and
+:mod:`~synthvid.param_sampler` tests every preset value against it.
+
 Conventions baked into the pipeline:
 
 * world up is +z,
@@ -22,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 from . import jsondoc
 
@@ -30,6 +36,8 @@ __all__ = [
     "CameraSpec",
     "EngineTarget",
     "EnvSpec",
+    "FIELDS",
+    "FieldRule",
     "FocusPosition",
     "FocusType",
     "Light",
@@ -230,31 +238,94 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+class FieldRule(NamedTuple):
+    """What one preset field may hold: a value of ``kind`` that passes ``legal``.
+
+    ``kind`` is ``float`` (any finite number), ``int``, ``str`` or an enum;
+    ``legal`` is ``None`` when every value of ``kind`` is legal.  ``message``
+    is what :func:`validate_config` reports when a value fails.
+    """
+
+    kind: type
+    legal: Callable[[object], bool] | None
+    message: str
+
+    def holds(self, value) -> bool:
+        kind, legal, _ = self
+        if kind is float:
+            typed = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                     and math.isfinite(value))
+        elif kind is int:
+            typed = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            typed = isinstance(value, kind)
+        return typed and (legal is None or legal(value))
 
 
-def _is_vec(x, n: int) -> bool:
-    return (
-        isinstance(x, tuple)
-        and len(x) == n
-        and all(_is_real(c) for c in x)
-    )
+_FINITE = FieldRule(float, None, "must be a finite number")
+_INTENSITY = FieldRule(float, lambda x: x >= 0.0, "must be a nonnegative number")
+_COLOR = FieldRule(float, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")
+_SIZE = FieldRule(int, lambda n: n >= 1, "must be a positive integer")
 
-
-def _color_ok(x, n: int) -> bool:
-    return _is_vec(x, n) and all(0.0 <= c <= 1.0 for c in x)
+# The field table: preset field name -> the values the field may hold.  A
+# vector has one entry per axis; the lighting.position.*, color_temp and
+# intensity entries hold for every light, and lighting.n_lights for their count.
+FIELDS: dict[str, FieldRule] = {
+    "object_ref": FieldRule(str, lambda s: s != "", "must be a nonempty mesh identifier"),
+    "object_animation.kind": FieldRule(
+        AnimationKind, None, "must be one of " + ", ".join(k.value for k in AnimationKind)),
+    "object_animation.rate_deg_per_s": _FINITE,
+    **{f"object_animation.velocity.{axis}": _FINITE for axis in "xyz"},
+    "camera.focus_type": FieldRule(FocusType, None, "must be Follow or Fixed"),
+    "camera.focus_position": FieldRule(FocusPosition, None, "must be Upper, Center or Lower"),
+    "camera.movement_type": FieldRule(
+        MovementType, None, "must be one of " + ", ".join(m.value for m in MovementType)),
+    "camera.movement_value": _FINITE,
+    **{f"camera.initial_position.{axis}": _FINITE for axis in "xyz"},
+    "camera.coverage": FieldRule(float, lambda c: 0.0 < c <= 1.0, "must lie in (0, 1]"),
+    "lighting.n_lights": FieldRule(int, lambda n: 0 <= n <= 2, "at most two lights are supported"),
+    **{f"lighting.position.{axis}": _FINITE for axis in "xyz"},
+    "lighting.color_temp": FieldRule(float, lambda t: 1000.0 <= t <= 12000.0,
+                                     "must lie in [1000, 12000] Kelvin"),
+    "lighting.intensity": _INTENSITY,
+    "lighting.ambient_intensity": _INTENSITY,
+    "environment.scene_type": FieldRule(SceneType, None, "must be Basic or Empty"),
+    **{f"environment.scene_color.{c}": _COLOR for c in "rgb"},
+    **{f"environment.background_color.{c}": _COLOR for c in "rgba"},
+    "render.width": _SIZE,
+    "render.height": _SIZE,
+    "render.quality": FieldRule(RenderQuality, None, "must be High or Low"),
+    "render.engine_target": FieldRule(EngineTarget, None, "must be Internal or BlenderScript"),
+    "n_frames": FieldRule(int, lambda n: n >= 2, "must be an integer >= 2"),
+    "fps": FieldRule(int, lambda n: 1 <= n <= 120, "must be an integer in [1, 120]"),
+}
 
 
 def validate_config(cfg: SceneConfig) -> ValidationReport:
     """Check every invariant of ``cfg`` and report all violations.
 
-    Validation is total: it never raises, even for configs holding values of
-    the wrong type (each check degrades to a type violation instead).
+    Each field is tested against its rule in :data:`FIELDS`; what is written
+    out below are the rules across fields and ``seed``, which no preset
+    draws.  Validation is total: it never raises, even for configs holding
+    values of the wrong type (each check degrades to a violation instead).
     """
     out: list[Violation] = []
 
-    def bad(path, message):
+    # ``owner``'s attribute named by the last part of ``path``, tested against
+    # the rule of ``name`` (``path`` itself by default)
+    def field(path, owner, name=None):
+        rule = FIELDS[name or path]
+        if not rule.holds(getattr(owner, path.rpartition(".")[2], None)):
+            out.append(Violation(path, rule.message))
+
+    def vector(path, owner, axes, message, name=None):
+        value, name = getattr(owner, path.rpartition(".")[2], None), name or path
+        if isinstance(value, tuple) and len(value) == len(axes):
+            for a, c in zip(axes, value):
+                if not FIELDS[f"{name}.{a}"].holds(c):
+                    break
+            else:
+                return
         out.append(Violation(path, message))
 
     def check(path, fn, message):
@@ -263,93 +334,71 @@ def validate_config(cfg: SceneConfig) -> ValidationReport:
         except Exception:
             ok = False
         if not ok:
-            bad(path, message)
+            out.append(Violation(path, message))
 
-    check("object_ref", lambda: isinstance(cfg.object_ref, str) and cfg.object_ref != "",
-          "must be a nonempty mesh identifier")
+    field("object_ref", cfg)
 
     anim = cfg.object_animation
-    check("object_animation.kind", lambda: isinstance(anim.kind, AnimationKind),
-          "must be one of " + ", ".join(k.value for k in AnimationKind))
-    check("object_animation.rate_deg_per_s", lambda: _is_real(anim.rate_deg_per_s),
-          "must be a finite number")
-    check("object_animation.velocity", lambda: _is_vec(anim.velocity, 3),
-          "must be a finite 3-vector")
+    field("object_animation.kind", anim)
+    field("object_animation.rate_deg_per_s", anim)
+    vector("object_animation.velocity", anim, "xyz", "must be a finite 3-vector")
 
     cam = cfg.camera
-    check("camera.focus_type", lambda: isinstance(cam.focus_type, FocusType),
-          "must be Follow or Fixed")
-    check("camera.focus_position", lambda: isinstance(cam.focus_position, FocusPosition),
-          "must be Upper, Center or Lower")
-    check("camera.movement_type", lambda: isinstance(cam.movement_type, MovementType),
-          "must be one of " + ", ".join(m.value for m in MovementType))
-    check("camera.movement_value", lambda: _is_real(cam.movement_value),
-          "must be a finite number")
-    check("camera.initial_position", lambda: _is_vec(cam.initial_position, 3),
-          "must be a finite 3-vector")
+    field("camera.focus_type", cam)
+    field("camera.focus_position", cam)
+    field("camera.movement_type", cam)
+    field("camera.movement_value", cam)
+    vector("camera.initial_position", cam, "xyz", "must be a finite 3-vector")
     # The object pivot sits at the origin by pipeline convention, so a camera
     # there has no view direction.
     check("camera.initial_position",
           lambda: math.hypot(*cam.initial_position) > 0.0,
           "must not coincide with the object position (world origin)")
-    check("camera.coverage", lambda: _is_real(cam.coverage) and 0.0 < cam.coverage <= 1.0,
-          "must lie in (0, 1]")
+    field("camera.coverage", cam)
 
     lit = cfg.lighting
-    check("lighting.lights", lambda: isinstance(lit.lights, tuple) and len(lit.lights) <= 2,
-          "at most two lights are supported")
+    lights, n_lights = getattr(lit, "lights", None), FIELDS["lighting.n_lights"]
+    if not (isinstance(lights, tuple) and n_lights.legal(len(lights))):
+        out.append(Violation("lighting.lights", n_lights.message))
     try:
-        lights = tuple(lit.lights)
+        lights = tuple(lights)
     except Exception:
         lights = ()
     for i, light in enumerate(lights):
-        check(f"lighting.lights[{i}].position", lambda l=light: _is_vec(l.position, 3),
-              "must be a finite 3-vector")
-        check(f"lighting.lights[{i}].color_temp",
-              lambda l=light: _is_real(l.color_temp) and 1000.0 <= l.color_temp <= 12000.0,
-              "must lie in [1000, 12000] Kelvin")
-        check(f"lighting.lights[{i}].intensity",
-              lambda l=light: _is_real(l.intensity) and l.intensity >= 0.0,
-              "must be a nonnegative number")
-    check("lighting.ambient_intensity",
-          lambda: _is_real(lit.ambient_intensity) and lit.ambient_intensity >= 0.0,
-          "must be a nonnegative number")
+        path = f"lighting.lights[{i}]"
+        vector(f"{path}.position", light, "xyz", "must be a finite 3-vector", "lighting.position")
+        field(f"{path}.color_temp", light, "lighting.color_temp")
+        field(f"{path}.intensity", light, "lighting.intensity")
+    field("lighting.ambient_intensity", lit)
     check("lighting", lambda: len(lit.lights) > 0 or lit.ambient_intensity > 0.0,
           "scene needs at least one light or a positive ambient intensity")
 
     env = cfg.environment
-    check("environment.scene_type", lambda: isinstance(env.scene_type, SceneType),
-          "must be Basic or Empty")
-    if isinstance(env.scene_type, SceneType):
-        if env.scene_type is SceneType.BASIC:
-            check("environment.scene_color", lambda: _color_ok(env.scene_color, 3),
-                  "Basic scenes require an RGB scene_color in [0, 1]")
-            check("environment.background_color", lambda: env.background_color is None,
-                  "background_color is only valid for Empty scenes")
-        else:
-            check("environment.background_color", lambda: _color_ok(env.background_color, 4),
-                  "Empty scenes require an RGBA background_color in [0, 1]")
-            check("environment.scene_color", lambda: env.scene_color is None,
-                  "scene_color is only valid for Basic scenes")
+    field("environment.scene_type", env)
+    scene_type = getattr(env, "scene_type", None)
+    if scene_type is SceneType.BASIC:
+        vector("environment.scene_color", env, "rgb",
+               "Basic scenes require an RGB scene_color in [0, 1]")
+        check("environment.background_color", lambda: env.background_color is None,
+              "background_color is only valid for Empty scenes")
+    elif scene_type is SceneType.EMPTY:
+        vector("environment.background_color", env, "rgba",
+               "Empty scenes require an RGBA background_color in [0, 1]")
+        check("environment.scene_color", lambda: env.scene_color is None,
+              "scene_color is only valid for Basic scenes")
 
     ren = cfg.render
-    check("render.width", lambda: isinstance(ren.width, int) and not isinstance(ren.width, bool)
-          and ren.width >= 1, "must be a positive integer")
-    check("render.height", lambda: isinstance(ren.height, int) and not isinstance(ren.height, bool)
-          and ren.height >= 1, "must be a positive integer")
+    field("render.width", ren)
+    field("render.height", ren)
     check("render", lambda: ren.width * ren.height <= MAX_PIXELS,
           f"width*height must not exceed {MAX_PIXELS}")
-    check("render.quality", lambda: isinstance(ren.quality, RenderQuality),
-          "must be High or Low")
-    check("render.engine_target", lambda: isinstance(ren.engine_target, EngineTarget),
-          "must be Internal or BlenderScript")
+    field("render.quality", ren)
+    field("render.engine_target", ren)
 
     check("seed", lambda: isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool)
           and 0 <= cfg.seed < 2 ** 64, "must be a 64-bit unsigned integer")
-    check("n_frames", lambda: isinstance(cfg.n_frames, int) and not isinstance(cfg.n_frames, bool)
-          and cfg.n_frames >= 2, "must be an integer >= 2")
-    check("fps", lambda: isinstance(cfg.fps, int) and not isinstance(cfg.fps, bool)
-          and 1 <= cfg.fps <= 120, "must be an integer in [1, 120]")
+    field("n_frames", cfg)
+    field("fps", cfg)
 
     return ValidationReport(tuple(out))
 

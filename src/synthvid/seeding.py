@@ -10,6 +10,8 @@ not depend on whether streams 0..i-1 were ever drawn.
 
 from __future__ import annotations
 
+import functools
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 stream increment (golden ratio)
@@ -40,8 +42,10 @@ def derive_seed(base_seed: int, index: int) -> int:
     return mix64((base_seed + (index + 1) * _GAMMA) & MASK64)
 
 
+@functools.cache
 def fnv1a64(text: str) -> int:
-    """FNV-1a hash of a label, used to salt named seed streams."""
+    """FNV-1a hash of a label, used to salt named seed streams; the labels are
+    a fixed set, so each is hashed once."""
     h = _FNV_OFFSET
     for byte in text.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & MASK64

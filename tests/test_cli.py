@@ -266,6 +266,22 @@ def test_preset_uniform_without_low_names_file_and_field(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: params.camera.coverage.low: missing\n"
 
 
+def test_out_of_range_preset_names_file_and_field(tmp_path, capsys):
+    from synthvid.param_sampler import PresetLibrary, encode_preset
+
+    doc = json.loads(encode_preset(PresetLibrary.default().get("random")))
+    doc["name"] = "z"
+    doc["params"]["fps"] = {"kind": "constant", "value": 0}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("sample-configs", "--preset", "z", "--preset-file", str(path),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: params.fps.value: must be an integer in [1, 120], got 0\n")
+    assert not out.exists()
+
+
 def test_registry_with_unknown_kind_names_file_and_field(tmp_path, config_file, capsys):
     path, args = _caption_args(tmp_path, config_file,
                                {"schema": 1, "entries": {"Bogus": {"x": {"Generic": "an x"}}}})

@@ -9,12 +9,9 @@ from synthvid.fidelity_metrics import (
     DegenerateGeometryError,
     EmptyTrackSetError,
     FeatureTrackSet,
-    PoseConfidenceGrid,
-    REFERENCE_POSE_CONFIDENCE,
     Track,
     generate_tracks,
     metrics_to_json_dict,
-    pose_confidence,
     read_tracks,
     recon_metrics,
     tracks_from_json,
@@ -225,38 +222,12 @@ def test_empty_track_set_errors():
         recon_metrics(FeatureTrackSet((), traj, W, H))
 
 
-# -- pose confidence --
-
-
-def test_pose_confidence_constant_grids():
-    half = PoseConfidenceGrid(np.full((10, 17), 0.5))
-    full = PoseConfidenceGrid(np.full((4, 17), 1.0))
-    assert pose_confidence(half) == pytest.approx(0.5)
-    assert pose_confidence(full) == pytest.approx(1.0)
-
-
-def test_pose_confidence_mean():
-    grid = np.zeros((2, 17))
-    grid[0, :] = 0.25
-    grid[1, :] = 0.75
-    assert pose_confidence(PoseConfidenceGrid(grid)) == pytest.approx(0.5)
-
-
-def test_pose_confidence_validation():
-    with pytest.raises(ValueError):
-        PoseConfidenceGrid(np.full((3, 16), 0.5))
-    with pytest.raises(ValueError):
-        PoseConfidenceGrid(np.full((3, 17), 1.5))
-    with pytest.raises(ValueError):
-        pose_confidence(PoseConfidenceGrid(np.zeros((0, 17))))
-
-
-def test_reference_confidences_in_report():
-    assert REFERENCE_POSE_CONFIDENCE == {"gym": 0.791, "dance": 0.837}
+def test_metrics_report_holds_exactly_the_four_metrics():
     traj = _trajectory(MovementType.SPIN, 360.0, 16)
     tracks = generate_tracks(SPHERE, traj, W, H, 0.0, seed=2)
     doc = metrics_to_json_dict(recon_metrics(tracks))
-    assert doc["reference_pose_confidence"] == {"gym": 0.791, "dance": 0.837}
+    assert list(doc) == ["n_points", "mean_track_length", "reproj_error_px",
+                         "reproj_error_top1000_px"]
 
 
 # -- serialization --

@@ -5,7 +5,8 @@ truncated text, a value replaced by any JSON value (NaN and huge integers
 included), a field retyped, a member deleted or an unknown member added.
 Each case must either decode, and then its encoding must decode back
 equal, or raise ``FormatError``; any other exception fails the test.  A
-preset built in code must pass the same check as its decoded text.
+preset built in code must pass the same check as its decoded text, and a
+preset that passes draws only values its fields' rules accept.
 """
 
 import ast
@@ -45,7 +46,6 @@ from synthvid.flowlab import VelocityModel, load_checkpoint, save_checkpoint
 from synthvid.jsondoc import FormatError
 from synthvid.meshes import bounding_sphere, cube
 from synthvid.param_sampler import (
-    FIELD_KINDS,
     Categorical,
     Constant,
     DistributionPreset,
@@ -53,8 +53,10 @@ from synthvid.param_sampler import (
     Uniform,
     decode_preset,
     encode_preset,
+    sample_config,
 )
 from synthvid.scene_config import (
+    FIELDS,
     AnimationKind,
     EngineTarget,
     FocusPosition,
@@ -268,8 +270,12 @@ def _random_params():
     return PresetLibrary.default().get("random").params
 
 
+# the rules across fields, which a preset's field table check cannot see
+CROSS_FIELD = ("camera.initial_position: must not coincide", "lighting: ", "render: ")
+
+
 @FUZZ
-@given(st.sampled_from(list(FIELD_KINDS)), distributions())
+@given(st.sampled_from(list(FIELDS)), distributions())
 def test_fuzz_preset_built_in_code_passes_the_decoder_check(field, dist):
     params = {**_random_params(), field: dist}
     text = encode_preset(types.SimpleNamespace(name="fuzz", params=params))
@@ -279,11 +285,18 @@ def test_fuzz_preset_built_in_code_passes_the_decoder_check(field, dist):
     except FormatError:
         decodes = False
     try:
-        DistributionPreset("fuzz", params)
+        preset = DistributionPreset("fuzz", params)
         builds = True
     except FormatError:
         builds = False
     assert builds == decodes
+    if not builds:
+        return
+    for seed in range(3):  # a preset that builds draws only values its fields' rules accept
+        try:
+            sample_config(preset, seed)
+        except ValueError as exc:
+            assert all(line.startswith(CROSS_FIELD) for line in str(exc).splitlines()[1:]), exc
 
 
 @FUZZ

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import re
+import types
 
 import pytest
 
@@ -211,10 +212,10 @@ def test_preset_value_outside_its_field_kind_names_file_and_field(library, field
     ("fps", Constant("fast"), "fps.value: expected an integer, got 'fast'"),
     ("camera.movement_type", Constant(3), "camera.movement_type.value: 3 is not a legal value"),
     ("lighting.n_lights", Constant(-2),
-     "lighting.n_lights.value: expected a nonnegative integer, got -2"),
+     "lighting.n_lights.value: at most two lights are supported, got -2"),
     ("lighting.n_lights", Categorical(((1, 0.5), (-1, 0.5))),
-     "lighting.n_lights.weights[1][0]: expected a nonnegative integer, got -1"),
-    ("render.width", Uniform(-4, 160), "render.width.low: expected a nonnegative integer, got -4"),
+     "lighting.n_lights.weights[1][0]: at most two lights are supported, got -1"),
+    ("render.width", Uniform(-4, 160), "render.width.low: must be a positive integer, got -4"),
     ("camera.coverage", 0.5, "camera.coverage: expected a JSON object"),
 ])
 def test_preset_built_in_code_is_checked_like_a_decoded_one(library, field, dist, problem):
@@ -228,8 +229,33 @@ def test_decoded_negative_light_count_names_file_and_field(library):
     doc = json.loads(encode_preset(library.get("random")))
     doc["params"]["lighting.n_lights"] = {"kind": "constant", "value": -2}
     with pytest.raises(FormatError, match="^" + re.escape(
-            "custom.json: params.lighting.n_lights.value: expected a nonnegative integer, got -2")):
+            "custom.json: params.lighting.n_lights.value: "
+            "at most two lights are supported, got -2")):
         decode_preset(json.dumps(doc), "custom.json")
+
+
+@pytest.mark.parametrize("field, dist, problem", [
+    ("fps", Constant(0), "fps.value: must be an integer in [1, 120], got 0"),
+    ("fps", Constant(121), "fps.value: must be an integer in [1, 120], got 121"),
+    ("render.width", Uniform(0, 160), "render.width.low: must be a positive integer, got 0"),
+    ("camera.coverage", Uniform(0.5, 1.5), "camera.coverage.high: must lie in (0, 1], got 1.5"),
+    ("camera.coverage", Uniform(0, 0.5), "camera.coverage.low: must lie in (0, 1], got 0"),
+    ("lighting.n_lights", Categorical(((1, 0.5), (3, 0.5))),
+     "lighting.n_lights.weights[1][0]: at most two lights are supported, got 3"),
+    ("lighting.color_temp", Uniform(500.0, 2000.0),
+     "lighting.color_temp.low: must lie in [1000, 12000] Kelvin, got 500.0"),
+    ("environment.scene_color.g", Uniform(0.5, 1.25),
+     "environment.scene_color.g.high: must lie in [0, 1], got 1.25"),
+    ("n_frames", Uniform(2, 1e308),
+     "n_frames.high: a uniform bound must lie in [-2**53, 2**53], got 1e+308"),
+])
+def test_out_of_range_preset_names_preset_or_file_and_field(library, field, dist, problem):
+    params = {**library.get("random").params, field: dist}
+    with pytest.raises(FormatError, match="^" + re.escape(f"preset 'z': params.{problem}") + "$"):
+        DistributionPreset("z", params)
+    text = encode_preset(types.SimpleNamespace(name="z", params=params))
+    with pytest.raises(FormatError, match="^" + re.escape(f"custom.json: params.{problem}") + "$"):
+        decode_preset(text, "custom.json")
 
 
 def test_preset_with_an_unknown_field_names_it(library):

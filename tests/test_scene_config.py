@@ -1,15 +1,21 @@
+import copy
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from synthvid.jsondoc import FormatError
 from synthvid.param_sampler import PresetLibrary, sample_config
 from synthvid.scene_config import (
     EnvSpec,
+    FocusType,
+    Light,
     MovementType,
     ObjectAnimation,
     RenderSpec,
+    SceneConfig,
     SceneType,
     decode_config,
     encode_config,
@@ -91,11 +97,66 @@ def test_validation_total_over_sampled_then_mutated_configs(rng):
     import dataclasses
     preset = PresetLibrary.default().get("random")
     poison = [None, float("nan"), float("inf"), "junk", -1, (), (1.0,), True]
+    fields = [f.name for f in dataclasses.fields(SceneConfig)]
     for i in range(200):
         cfg = sample_config(preset, int(rng.integers(2 ** 63)))
-        field = rng.choice(["object_ref", "seed", "n_frames", "fps", "camera", "lighting"])
+        field = fields[i % len(fields)]
         cfg = dataclasses.replace(cfg, **{field: poison[int(rng.integers(len(poison)))]})
         validate_config(cfg)  # must not raise
+
+
+def _mutated(obj, path, value):
+    """``obj`` with the field at dotted ``path`` set to ``value``, without running
+    ``__post_init__``; a numeric part of the path indexes a tuple."""
+    head, _, rest = path.partition(".")
+    if isinstance(obj, tuple):
+        i = int(head)
+        return obj[:i] + (_mutated(obj[i], rest, value) if rest else value,) + obj[i + 1:]
+    new = copy.copy(obj)
+    object.__setattr__(new, head, _mutated(getattr(obj, head), rest, value) if rest else value)
+    return new
+
+
+# every field validate_config reads, nested ones included; an EnvSpec-valued
+# environment is kept, since the totality test covers replacing it
+MUTATION_TARGETS = (
+    "object_ref", "object_animation", "object_animation.kind",
+    "object_animation.rate_deg_per_s", "object_animation.velocity", "camera",
+    "camera.focus_type", "camera.focus_position", "camera.movement_type",
+    "camera.movement_value", "camera.initial_position", "camera.coverage", "lighting",
+    "lighting.lights", "lighting.lights.0.position", "lighting.lights.0.color_temp",
+    "lighting.lights.0.intensity", "lighting.ambient_intensity", "environment.scene_type",
+    "environment.scene_color", "environment.background_color", "render", "render.width",
+    "render.height", "render.quality", "render.engine_target", "seed", "n_frames", "fps",
+)
+MUTATION_VALUES = (
+    None, math.nan, math.inf, "junk", "", -1, 0, 1, 2.5, 121, 999.0, 1e4, 10 ** 5, 2 ** 64,
+    True, (), (1.0,), (0.0, 0.0, 0.0), (2.0, 0.5, 0.5), (1.0, math.nan, 0.0),
+    (0.5, 0.5, 0.5, 1.0), (Light((1.0, 1.0, 4.0), 5000.0, 1.0),) * 3,
+    MovementType.PAN, FocusType.FIXED, SceneType.BASIC, SceneType.EMPTY,
+)
+
+
+def test_validation_reports_are_pinned():
+    # SHA-256 over the violation paths and messages of sampled configs with one
+    # to four fields replaced; any change to what validate_config reports, or
+    # to its order, changes the digest
+    rng = np.random.default_rng(11)
+    library = PresetLibrary.default()
+    h = hashlib.sha256()
+    for name in ("random", "forward_only", "forward_following"):
+        for seed in range(150):
+            cfg = sample_config(library.get(name), seed)
+            for _ in range(int(rng.integers(1, 5))):
+                path = MUTATION_TARGETS[int(rng.integers(len(MUTATION_TARGETS)))]
+                value = MUTATION_VALUES[int(rng.integers(len(MUTATION_VALUES)))]
+                try:
+                    cfg = _mutated(cfg, path, value)
+                except (AttributeError, TypeError, ValueError, IndexError):
+                    pass  # an earlier replacement removed the field
+            report = validate_config(cfg)
+            h.update(repr([(v.path, v.message) for v in report.violations]).encode())
+    assert h.hexdigest() == "28018f51eadd82892ed7df0f92362539905f3abb62a1c367a8c16ada239e897e"
 
 
 # -- serialization --
