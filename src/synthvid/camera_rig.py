@@ -1,9 +1,9 @@
 """The pinhole camera model and per-frame trajectories realized from a camera spec.
 
-:class:`PinholeCamera` is the one camera model of the package: the
-renderer, the track generator and the triangulator all project through it,
-and :func:`trajectory_to_json` / :func:`trajectory_from_json` are the one
-camera serializer.
+:class:`PinholeCamera` is the one camera model of the package:
+:meth:`~PinholeCamera.to_camera` is the one world-to-camera mapping,
+:func:`to_pixels` the one pixel mapping, and :func:`trajectory_to_json` /
+:func:`trajectory_from_json` the one camera serializer.
 
 Conventions:
 
@@ -56,6 +56,7 @@ __all__ = [
     "look_at",
     "object_center_at",
     "rotation_about_axis",
+    "to_pixels",
     "trajectory_from_json",
     "trajectory_to_json",
 ]
@@ -77,6 +78,13 @@ class DegenerateLookAtError(ValueError):
 
 class ConfigConflictError(ValueError):
     """Camera settings that contradict each other (e.g. Pan with Follow focus)."""
+
+
+def to_pixels(cam, focal_px: float, width: int, height: int):
+    """Pixel coordinates ``(u, v)`` of camera-space points ``cam`` (..., 3)."""
+    x, y, z = cam[..., 0], cam[..., 1], cam[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return width / 2.0 + focal_px * x / z, height / 2.0 + focal_px * y / z
 
 
 @dataclass(frozen=True)
@@ -109,21 +117,20 @@ class PinholeCamera:
         """Focal length in pixels for an image ``height`` pixels tall."""
         return self.focal_mm * height / self.sensor_height_mm
 
+    def to_camera(self, points) -> np.ndarray:
+        """World points (N, 3) in camera space: ``R @ (p - position)`` per point."""
+        return (np.asarray(points, dtype=float).reshape(-1, 3) - self.position) @ self.rotation.T
+
     def project(self, points, width: int, height: int):
         """Project world points into a ``width`` x ``height`` image.
 
         Returns ``(xy (N, 2), depth (N,), behind (N,) bool)``.  Points at or
         behind the camera plane are flagged and get NaN coordinates.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 3)
-        cam_space = (pts - self.position) @ self.rotation.T
+        cam_space = self.to_camera(points)
         depth = cam_space[:, 2]
         behind = depth <= 0.0
-        focal_px = self.focal_px(height)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = width / 2.0 + focal_px * cam_space[:, 0] / depth
-            y = height / 2.0 + focal_px * cam_space[:, 1] / depth
-        xy = np.stack([x, y], axis=1)
+        xy = np.stack(to_pixels(cam_space, self.focal_px(height), width, height), axis=1)
         xy[behind] = np.nan
         return xy, depth, behind
 

@@ -209,7 +209,7 @@ class CaptionRegistry:
     # -- strict JSON (nested maps: kind -> id -> granularity -> text) --
 
     def to_json(self) -> str:
-        doc: dict = {"schema": 1, "entries": {}}
+        doc: dict = {"schema": jsondoc.SCHEMA_VERSION, "entries": {}}
         for (kind, element_id, gran), text in sorted(
                 self.entries.items(), key=lambda kv: (kv[0][0].value, kv[0][1], kv[0][2].value)):
             doc["entries"].setdefault(kind.value, {}).setdefault(element_id, {})[gran.value] = text

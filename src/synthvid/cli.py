@@ -82,7 +82,8 @@ def _cmd_trajectory(args) -> int:
     cfg = _load_config(args.config)
     center, radius = bounding_sphere(_resolve_mesh(cfg, args.mesh))
     trajectory = generate_trajectory(cfg, center, radius)
-    doc = {"schema": 1, "n_frames": len(trajectory), **trajectory_to_json(trajectory)}
+    doc = {"schema": jsondoc.SCHEMA_VERSION, "n_frames": len(trajectory),
+           **trajectory_to_json(trajectory)}
     _write_json(args.out, doc)
     print(f"wrote {len(trajectory)}-frame trajectory to {args.out}")
     return 0

@@ -2,7 +2,7 @@
 
 Feature tracks come straight from ground truth: every mesh vertex becomes a
 candidate point, observed in each frame where it falls inside the frustum
-on a front-facing triangle (optionally with Gaussian pixel noise).  Tracks
+on a triangle facing the camera (:meth:`Mesh.facing`; optional noise).  Tracks
 are triangulated by homogeneous linear least squares (DLT) over all
 observing frames, and the reprojection residuals summarize how
 3D-consistent the observations are.  Tracks of one length share one
@@ -130,20 +130,13 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
     xy_all = np.empty((n_frames, n_verts, 2))
     visible = np.zeros((n_frames, n_verts), dtype=bool)
 
-    tris = mesh.triangles
-    a = verts[tris[:, 0]]
-    normals = np.cross(verts[tris[:, 1]] - a, verts[tris[:, 2]] - a)
-    centroids = (a + verts[tris[:, 1]] + verts[tris[:, 2]]) / 3.0
-
     for k, camera in enumerate(trajectory.frames):
         xy, depth, behind = camera.project(verts, width, height)
         in_frame = (~behind) & (xy[:, 0] >= 0.0) & (xy[:, 0] < width) \
             & (xy[:, 1] >= 0.0) & (xy[:, 1] < height)
 
-        facing = np.einsum("ij,ij->i", normals, camera.position - centroids) > 0.0
         vert_front = np.zeros(n_verts, dtype=bool)
-        if facing.any():
-            vert_front[tris[facing].ravel()] = True
+        vert_front[mesh.triangles[mesh.facing(camera.position)].ravel()] = True
 
         visible[k] = in_frame & vert_front
         xy_all[k] = xy
@@ -349,7 +342,7 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
 
 def tracks_to_json(track_set: FeatureTrackSet) -> str:
     doc = {
-        "schema": 1,
+        "schema": jsondoc.SCHEMA_VERSION,
         "width": track_set.width,
         "height": track_set.height,
         **trajectory_to_json(track_set.cameras),
@@ -372,15 +365,17 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
 def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTrackSet:
     """Parse a schema-1 track set read from ``source``.
 
-    Malformed JSON, a missing, unknown or mistyped field, an observation of
-    a frame outside the camera list and a ``focus_history`` whose length
-    differs from the camera count raise :class:`~synthvid.jsondoc.FormatError`
-    naming ``source`` and the field path.
+    Malformed JSON, a missing, unknown or mistyped field, an image size
+    below 1, an observation of a frame outside the camera list and a
+    ``focus_history`` whose length differs from the camera count raise
+    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path.
     """
     doc = jsondoc.loads(text, source).object(
         ("schema", "width", "height", "cameras", "focus_history", "tracks")).schema()
-    width = doc["width"].integer()
-    height = doc["height"].integer()
+    width, height = doc["width"].integer(), doc["height"].integer()
+    for key, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise doc[key].error(f"expected an integer >= 1, got {size}")
     cameras = trajectory_from_json(doc.value, source)
     n_cameras = len(cameras)
     tracks = []

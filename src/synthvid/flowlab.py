@@ -434,7 +434,7 @@ _HEADER_FIELDS = ("schema", "data_dim", "cond_dim", "hidden", "param_count", "se
 def save_checkpoint(model: VelocityModel, path, seed: int | None = None,
                     train_steps: int | None = None) -> None:
     header = {
-        "schema": 1,
+        "schema": jsondoc.SCHEMA_VERSION,
         "data_dim": model.data_dim,
         "cond_dim": model.cond_dim,
         "hidden": model.hidden,

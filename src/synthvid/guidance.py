@@ -210,5 +210,5 @@ def train_transfer_models(seed: int, n_points: int = 4000,
 
 def write_report(reports, path) -> None:
     """Write one or more experiment reports side by side as JSON."""
-    doc = {"schema": 1, "runs": [asdict(r) for r in reports]}
+    doc = {"schema": jsondoc.SCHEMA_VERSION, "runs": [asdict(r) for r in reports]}
     Path(path).write_text(jsondoc.dumps(doc))

@@ -2,13 +2,14 @@
 
 Meshes are plain triangle soups with one flat color per triangle.  Loaders
 and primitive constructors filter zero-area triangles so the rasterizer
-never sees a degenerate face.
+never sees a degenerate face.  A mesh computes its unit face normals and
+centroids once, and :meth:`Mesh.facing` is the package's one back-face test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,8 @@ class Mesh:
     vertices: np.ndarray   # (N, 3) float64
     triangles: np.ndarray  # (M, 3) int64 vertex indices
     colors: np.ndarray     # (M, 3) float64 base color per triangle
+    normals: np.ndarray = field(init=False, compare=False, repr=False)    # (M, 3) unit
+    centroids: np.ndarray = field(init=False, compare=False, repr=False)  # (M, 3)
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
@@ -45,19 +48,27 @@ class Mesh:
             raise ValueError("need one color per triangle")
         if len(tris) and (tris.min() < 0 or tris.max() >= len(verts)):
             raise ValueError("triangle index out of range")
-        if len(tris):
-            a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-            if (areas <= _DEGENERATE_AREA).any():
-                raise ValueError("degenerate (zero-area) triangle; filter before constructing")
-        for arr in (verts, tris, colors):
+        cross, length, centroids = _faces(verts, tris)
+        if (0.5 * length <= _DEGENERATE_AREA).any():
+            raise ValueError("degenerate (zero-area) triangle; filter before constructing")
+        for name, arr in (("vertices", verts), ("triangles", tris), ("colors", colors),
+                          ("normals", cross / length[:, None]), ("centroids", centroids)):
             arr.flags.writeable = False
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "triangles", tris)
-        object.__setattr__(self, "colors", colors)
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.triangles)
+
+    def facing(self, position) -> np.ndarray:
+        """Mask of the triangles whose front side faces ``position``."""
+        return np.einsum("ij,ij->i", self.normals, position - self.centroids) > 0.0
+
+
+def _faces(verts: np.ndarray, tris: np.ndarray):
+    """Per triangle: (b - a) x (c - a), its length (twice the area), the centroid."""
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+    cross = np.cross(b - a, c - a)
+    return cross, np.linalg.norm(cross, axis=1), (a + b + c) / 3.0
 
 
 def _build(verts, tris, colors) -> Mesh:
@@ -65,12 +76,8 @@ def _build(verts, tris, colors) -> Mesh:
     verts = np.asarray(verts, dtype=float).reshape(-1, 3)
     tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
     colors = np.asarray(colors, dtype=float).reshape(-1, 3)
-    if len(tris):
-        a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-        areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-        keep = areas > _DEGENERATE_AREA
-        tris, colors = tris[keep], colors[keep]
-    return Mesh(verts, tris, colors)
+    keep = 0.5 * _faces(verts, tris)[1] > _DEGENERATE_AREA
+    return Mesh(verts, tris[keep], colors[keep])
 
 
 def bounding_sphere(mesh: Mesh) -> tuple[np.ndarray, float]:

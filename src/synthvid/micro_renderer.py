@@ -3,11 +3,12 @@
 The renderer is deliberately small: Lambertian flat shading, no shadows,
 no textures, back-face culling on, near-plane clipping so room interiors
 stay intact.  It exists to give the pipeline geometrically exact frames,
-not pretty ones.  Triangles are projected with the pinhole model and
-pixel conventions of :class:`~synthvid.camera_rig.PinholeCamera`; coverage
-is sampled at pixel centers.
+not pretty ones.  :meth:`Mesh.facing` culls back faces, and
+:meth:`PinholeCamera.to_camera` and :func:`~synthvid.camera_rig.to_pixels` map
+vertices to camera space and pixels; coverage is sampled at pixel centers.
 
-A frame's triangles are clipped and rasterized together: a span
+A frame's draw list holds the object's triangles, then the cached room's,
+and is clipped and rasterized together, with no per-frame mesh: a span
 rasterizer gives each pixel row of each triangle a conservative x-span and
 tests every pixel center in it with exact edge functions, in batches under
 a fixed fragment budget.  Its frames equal, bit for bit, those of drawing
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera_rig import PinholeCamera, generate_trajectory, rotation_about_axis
+from .camera_rig import PinholeCamera, generate_trajectory, rotation_about_axis, to_pixels
 from .meshes import Mesh, bounding_sphere, room_box, transformed
 from .scene_config import (
     AnimationKind,
@@ -82,26 +83,17 @@ def shaded_triangle_colors(mesh: Mesh, camera_position: np.ndarray,
 
     Color = base * (ambient + sum_i intensity_i * max(0, n . l_i) * tint_i)
     evaluated at the triangle centroid; the unclamped values are linear in
-    the light intensities.
+    the light intensities.  The mask is :meth:`Mesh.facing`.
     """
-    v = mesh.vertices
-    t = mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    normals = np.cross(b - a, c - a)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    centroids = (a + b + c) / 3.0
-
-    facing = np.einsum("ij,ij->i", normals, camera_position - centroids) > 0.0
-
-    radiance = np.full((len(t), 3), float(lighting.ambient_intensity))
+    radiance = np.full((len(mesh), 3), float(lighting.ambient_intensity))
     for light in lighting.lights:
-        to_light = np.asarray(light.position, dtype=float) - centroids
+        to_light = np.asarray(light.position, dtype=float) - mesh.centroids
         to_light /= np.linalg.norm(to_light, axis=1, keepdims=True)
-        lambert = np.maximum(0.0, np.einsum("ij,ij->i", normals, to_light))
+        lambert = np.maximum(0.0, np.einsum("ij,ij->i", mesh.normals, to_light))
         tint = np.asarray(kelvin_to_rgb(light.color_temp))
         radiance += light.intensity * lambert[:, None] * tint[None, :]
 
-    return mesh.colors * radiance, facing
+    return mesh.colors * radiance, mesh.facing(camera_position)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +179,7 @@ def _rasterize(cam_tris, colors, width: int, height: int, focal_px: float,
     n = len(tris)
     # edge-major (3, n) arrays: row k holds vertex k of every triangle
     z = tris[:, :, 2].T
-    px = width / 2.0 + focal_px * tris[:, :, 0].T / z
-    py = height / 2.0 + focal_px * tris[:, :, 1].T / z
+    px, py = to_pixels(tris.transpose(1, 0, 2), focal_px, width, height)
 
     x_lo = np.maximum(np.floor(px.min(axis=0) - 0.5), 0.0)
     x_hi = np.minimum(np.ceil(px.max(axis=0) + 0.5), width - 1)
@@ -323,24 +314,22 @@ def _room(scene_color: tuple) -> Mesh:
 
 def _render_float(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
                   env: EnvSpec, width: int, height: int) -> np.ndarray:
-    scene = mesh
+    parts = [mesh]
     if env.scene_type is SceneType.BASIC:
-        room = _room(tuple(env.scene_color))
-        scene = Mesh(
-            np.concatenate([mesh.vertices, room.vertices]),
-            np.concatenate([mesh.triangles, room.triangles + len(mesh.vertices)]),
-            np.concatenate([mesh.colors, room.colors]),
-        )
+        parts.append(_room(tuple(env.scene_color)))
 
-    shaded, facing = shaded_triangle_colors(scene, camera.position, lighting)
-    shaded = np.clip(shaded, 0.0, 1.0)
+    # draw list: the pieces of each part's facing triangles, in mesh order,
+    # the object's before the room's
+    pieces, colors = [], []
+    for part in parts:
+        shaded, facing = shaded_triangle_colors(part, camera.position, lighting)
+        facing_ids = np.flatnonzero(facing)
+        cam_space = camera.to_camera(part.vertices)
+        part_pieces, source = _clip_near(cam_space[part.triangles[facing_ids]])
+        pieces.append(part_pieces)
+        colors.append(np.clip(shaded[facing_ids[source]], 0.0, 1.0))
 
-    # draw list: the pieces of the facing triangles, in mesh order
-    cam_space = (scene.vertices - camera.position) @ camera.rotation.T
-    facing_ids = np.flatnonzero(facing)
-    cam_tris, source = _clip_near(cam_space[scene.triangles[facing_ids]])
-
-    return _rasterize(cam_tris, shaded[facing_ids[source]], width, height,
+    return _rasterize(np.concatenate(pieces), np.concatenate(colors), width, height,
                       camera.focal_px(height), _background_color(env))
 
 

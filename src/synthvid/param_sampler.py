@@ -373,7 +373,8 @@ def _params_doc(params: dict) -> dict:
 
 
 def encode_preset(preset: DistributionPreset) -> str:
-    return jsondoc.dumps({"schema": 1, "name": preset.name, "params": _params_doc(preset.params)})
+    return jsondoc.dumps({"schema": jsondoc.SCHEMA_VERSION, "name": preset.name,
+                          "params": _params_doc(preset.params)})
 
 
 # JSON members of each distribution kind besides ``kind``

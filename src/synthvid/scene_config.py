@@ -283,7 +283,7 @@ FIELDS: dict[str, FieldRule] = {
     "camera.movement_value": _FINITE,
     **{f"camera.initial_position.{axis}": _FINITE for axis in "xyz"},
     "camera.coverage": FieldRule(float, lambda c: 0.0 < c <= 1.0, "must lie in (0, 1]"),
-    "lighting.n_lights": FieldRule(int, lambda n: 0 <= n <= 2, "at most two lights are supported"),
+    "lighting.n_lights": FieldRule(int, lambda n: 0 <= n <= 2, "must be between 0 and 2 lights"),
     **{f"lighting.position.{axis}": _FINITE for axis in "xyz"},
     "lighting.color_temp": FieldRule(float, lambda t: 1000.0 <= t <= 12000.0,
                                      "must lie in [1000, 12000] Kelvin"),
@@ -357,13 +357,12 @@ def validate_config(cfg: SceneConfig) -> ValidationReport:
     field("camera.coverage", cam)
 
     lit = cfg.lighting
-    lights, n_lights = getattr(lit, "lights", None), FIELDS["lighting.n_lights"]
-    if not (isinstance(lights, tuple) and n_lights.legal(len(lights))):
-        out.append(Violation("lighting.lights", n_lights.message))
-    try:
-        lights = tuple(lights)
-    except Exception:
+    lights = getattr(lit, "lights", None)
+    if not isinstance(lights, tuple):
+        out.append(Violation("lighting.lights", "must be a tuple of lights"))
         lights = ()
+    elif not FIELDS["lighting.n_lights"].legal(len(lights)):
+        out.append(Violation("lighting.lights", FIELDS["lighting.n_lights"].message))
     for i, light in enumerate(lights):
         path = f"lighting.lights[{i}]"
         vector(f"{path}.position", light, "xyz", "must be a finite 3-vector", "lighting.position")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from synthvid.fidelity_metrics import (
     tracks_to_json,
     triangulate,
 )
+from synthvid.jsondoc import FormatError
 from synthvid.meshes import bounding_sphere, transformed, uv_sphere
 from synthvid.scene_config import FocusType, MovementType
 
@@ -347,6 +349,19 @@ def test_read_tracks_prefixes_the_file_path(tmp_path):
         read_tracks(path)
     path.write_text("{not json")
     with pytest.raises(ValueError, match=r"bad\.json: Expecting property name"):
+        read_tracks(path)
+
+
+@pytest.mark.parametrize("key, size", [("width", 0), ("width", -200), ("height", 0)])
+def test_track_file_with_an_empty_image_is_rejected(tmp_path, key, size):
+    # read as they stand, these exact tracks (e about 2e-14 px) would report
+    # e of 18 to 69 px: the principal point moves with the image size
+    doc = _track_doc()
+    doc[key] = size
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="^" + re.escape(
+            f"{path}: {key}: expected an integer >= 1, got {size}") + "$"):
         read_tracks(path)
 
 

@@ -9,7 +9,6 @@ preset built in code must pass the same check as its decoded text, and a
 preset that passes draws only values its fields' rules accept.
 """
 
-import ast
 import functools
 import json
 import math
@@ -71,21 +70,9 @@ from synthvid.scene_config import (
 
 from conftest import make_config
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "synthvid"
-
 # Hypothesis caches the literals of the modules under test in its home
 # directory, which is .hypothesis/ in the working directory unless set here
 configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "synthvid-hypothesis")
-
-
-def test_only_the_codec_touches_the_json_module():
-    importers = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names) \
-                    or isinstance(node, ast.ImportFrom) and node.module == "json":
-                importers.add(path.name)
-    assert importers == {"jsondoc.py"}, "read and write JSON through synthvid.jsondoc"
 
 
 # -- getters --

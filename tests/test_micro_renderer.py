@@ -86,10 +86,12 @@ def test_backfacing_triangle_is_culled():
     away = Mesh(verts, np.array([[0, 2, 1]]), np.array([[1.0, 0.0, 0.0]]))
     frame = render_frame(away, camera_at((0.0, -5.0, 0.0)), LIGHTING, EMPTY, W, H)
     assert (frame.pixels == background).all()
+    assert not away.facing(np.array([0.0, -5.0, 0.0]))[0]
     # flipped winding faces the camera and is visible
     toward = Mesh(verts, np.array([[0, 1, 2]]), np.array([[1.0, 0.0, 0.0]]))
     frame2 = render_frame(toward, camera_at((0.0, -5.0, 0.0)), LIGHTING, EMPTY, W, H)
     assert (frame2.pixels != background).any()
+    assert toward.facing(np.array([0.0, -5.0, 0.0]))[0]
 
 
 def _ray_cast_reference(cam_tris, colors, width, height, focal_px, background):
@@ -201,6 +203,37 @@ def test_render_is_deterministic():
     b = render_video(cfg, uv_sphere())
     for fa, fb in zip(a, b):
         assert frame_sha256(fa) == frame_sha256(fb)
+
+
+def test_static_basic_clip_builds_no_mesh_per_frame(monkeypatch):
+    # once the room is cached, a clip whose object does not move draws the
+    # object and the room as they are: no frame builds a scene mesh
+    cfg = make_config(environment=EnvSpec(SceneType.BASIC, scene_color=(0.3, 0.6, 0.4)),
+                      n_frames=6)
+    mesh = uv_sphere()
+    render_video(cfg, mesh)
+    built = []
+    post_init = Mesh.__post_init__
+
+    def counting(self):
+        built.append(len(self.triangles))
+        post_init(self)
+
+    monkeypatch.setattr(Mesh, "__post_init__", counting)
+    assert len(render_video(cfg, mesh)) == 6
+    assert built == []
+
+
+def test_mesh_face_geometry_is_read_only_and_unit():
+    mesh = uv_sphere()
+    assert np.allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    v = mesh.vertices[mesh.triangles]
+    assert np.array_equal(mesh.centroids, (v[:, 0] + v[:, 1] + v[:, 2]) / 3.0)
+    # outward winding: every normal points away from the sphere's center
+    assert (np.einsum("ij,ij->i", mesh.normals, mesh.centroids) > 0.0).all()
+    for arr in (mesh.normals, mesh.centroids):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 def test_basic_room_encloses_scene():

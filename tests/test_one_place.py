@@ -1,0 +1,33 @@
+"""Each concept below is written in one module of ``src/synthvid``, its home.
+
+The renderer and the track generator must agree on which faces point at the
+camera and where a point lands in the image, and every JSON document goes
+through one codec.  A copy of any of these in another module is the start
+of a second model, so this scan fails when a pattern shows up outside its
+home.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "synthvid"
+
+# concept -> (home module, a pattern only the home module may contain)
+CONCEPTS = {
+    "json-import": ("jsondoc.py", r"^\s*(?:import\s+(?:[\w.]+\s*,\s*)*json\b|from\s+json\b)"),
+    "face-cross-product": ("meshes.py", r"np\.cross\(.*? - "),
+    "face-centroid": ("meshes.py", r"\) / 3\.0\b"),
+    "facing-test": ("meshes.py", r"einsum\(.*position - "),
+    "world-to-camera": ("camera_rig.py", r"\.rotation\.T\b"),
+    "pixel-mapping": ("camera_rig.py", r"/ 2\.0 \+ \w+ \* \w+"),
+}
+
+
+@pytest.mark.parametrize("concept", list(CONCEPTS))
+def test_each_concept_lives_in_one_module(concept):
+    home, pattern = CONCEPTS[concept]
+    holders = {path.name for path in sorted(SRC.glob("*.py"))
+               if re.search(pattern, path.read_text(), re.MULTILINE)}
+    assert holders == {home}, f"{concept} belongs in {home} alone; found in {sorted(holders)}"

@@ -212,9 +212,9 @@ def test_preset_value_outside_its_field_kind_names_file_and_field(library, field
     ("fps", Constant("fast"), "fps.value: expected an integer, got 'fast'"),
     ("camera.movement_type", Constant(3), "camera.movement_type.value: 3 is not a legal value"),
     ("lighting.n_lights", Constant(-2),
-     "lighting.n_lights.value: at most two lights are supported, got -2"),
+     "lighting.n_lights.value: must be between 0 and 2 lights, got -2"),
     ("lighting.n_lights", Categorical(((1, 0.5), (-1, 0.5))),
-     "lighting.n_lights.weights[1][0]: at most two lights are supported, got -1"),
+     "lighting.n_lights.weights[1][0]: must be between 0 and 2 lights, got -1"),
     ("render.width", Uniform(-4, 160), "render.width.low: must be a positive integer, got -4"),
     ("camera.coverage", 0.5, "camera.coverage: expected a JSON object"),
 ])
@@ -230,7 +230,7 @@ def test_decoded_negative_light_count_names_file_and_field(library):
     doc["params"]["lighting.n_lights"] = {"kind": "constant", "value": -2}
     with pytest.raises(FormatError, match="^" + re.escape(
             "custom.json: params.lighting.n_lights.value: "
-            "at most two lights are supported, got -2")):
+            "must be between 0 and 2 lights, got -2")):
         decode_preset(json.dumps(doc), "custom.json")
 
 
@@ -241,7 +241,7 @@ def test_decoded_negative_light_count_names_file_and_field(library):
     ("camera.coverage", Uniform(0.5, 1.5), "camera.coverage.high: must lie in (0, 1], got 1.5"),
     ("camera.coverage", Uniform(0, 0.5), "camera.coverage.low: must lie in (0, 1], got 0"),
     ("lighting.n_lights", Categorical(((1, 0.5), (3, 0.5))),
-     "lighting.n_lights.weights[1][0]: at most two lights are supported, got 3"),
+     "lighting.n_lights.weights[1][0]: must be between 0 and 2 lights, got 3"),
     ("lighting.color_temp", Uniform(500.0, 2000.0),
      "lighting.color_temp.low: must lie in [1000, 12000] Kelvin, got 500.0"),
     ("environment.scene_color.g", Uniform(0.5, 1.25),

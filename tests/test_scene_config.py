@@ -75,6 +75,16 @@ def test_lighting_requires_some_source():
     assert "lighting" in validate_config(dark).paths()
 
 
+@pytest.mark.parametrize("lights, message", [
+    ("junk", "must be a tuple of lights"),
+    ([make_config().lighting.lights[0]], "must be a tuple of lights"),
+    (make_config().lighting.lights * 3, "must be between 0 and 2 lights"),
+])
+def test_bad_lights_are_one_violation(lights, message):
+    report = validate_config(_mutated(make_config(), "lighting.lights", lights))
+    assert [(v.path, v.message) for v in report.violations] == [("lighting.lights", message)]
+
+
 def test_validation_is_total_on_garbage_fields():
     # wrong types everywhere; validation must report, never raise
     cfg = make_config()
@@ -156,7 +166,7 @@ def test_validation_reports_are_pinned():
                     pass  # an earlier replacement removed the field
             report = validate_config(cfg)
             h.update(repr([(v.path, v.message) for v in report.violations]).encode())
-    assert h.hexdigest() == "28018f51eadd82892ed7df0f92362539905f3abb62a1c367a8c16ada239e897e"
+    assert h.hexdigest() == "bab6cb15c95972a70f02aa0d2bf74bba9a49e2c9580558a10a046fb01a361b6e"
 
 
 # -- serialization --
