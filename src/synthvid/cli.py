@@ -67,12 +67,24 @@ def _write_json(path, doc) -> None:
 
 def _cmd_sample_configs(args) -> int:
     library = PresetLibrary.default()
+    source = None
     if args.preset_file:
-        library.add(decode_preset(Path(args.preset_file).read_bytes(), source=args.preset_file))
+        added = decode_preset(Path(args.preset_file).read_bytes(), source=args.preset_file)
+        library.add(added)
+        if added.name == args.preset:
+            source = args.preset_file
     preset = library.get(args.preset)
+    try:
+        configs = sample_batch(preset, args.seed, args.count)
+    except ValueError as exc:
+        # with a positive count, only a config breaking a rule across fields
+        # fails here; name the file its preset came from
+        if source is None or args.count < 1:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, cfg in enumerate(sample_batch(preset, args.seed, args.count)):
+    for i, cfg in enumerate(configs):
         (out_dir / f"config_{i:03d}.json").write_text(encode_config(cfg))
     print(f"wrote {args.count} configs to {out_dir}")
     return 0

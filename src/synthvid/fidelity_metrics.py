@@ -96,6 +96,10 @@ class FeatureTrackSet:
     height: int
 
     def __post_init__(self):
+        for key in ("width", "height"):
+            size = getattr(self, key)
+            if not (isinstance(size, (int, np.integer)) and size >= 1):
+                raise ValueError(f"{key}: expected an integer >= 1, got {size!r}")
         n_cameras = len(self.cameras)
         for track in self.tracks:
             # frames are strictly increasing, so the ends bound them all

@@ -9,8 +9,9 @@ function of ``(preset, seed)``.
 
 The fields a preset draws, their types and their legal values are the
 field table, :data:`~synthvid.scene_config.FIELDS`; every draw returns its
-field's type.  For an integer field ``uniform(low, high)`` is the
-inclusive integer range.
+field's type, a vector is drawn axis by axis as the table lists its axes,
+and a record draws its dataclass's members.  For an integer field
+``uniform(low, high)`` is the inclusive integer range.
 
 Every preset is checked when it is built, whether decoded from JSON or
 written in code: each bound, category and constant must be a legal value
@@ -21,7 +22,7 @@ of its field, or a :class:`~synthvid.jsondoc.FormatError` names the preset
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +40,9 @@ from .scene_config import (
     RenderSpec,
     SceneConfig,
     SceneType,
+    read_field,
     validate_config,
+    vector_axes,
 )
 from .seeding import derive_seed, stream_seed
 
@@ -133,96 +136,75 @@ class DistributionPreset:
 class _Draws:
     """The draws of one ``(preset, seed)`` sample.
 
-    Called with a field name, it returns that field's next value, of the
-    type the field table gives it.  A field's stream is built on its
-    first draw, so a field that is never drawn costs nothing.
+    Each value has the type the field table gives its field.  A field's
+    stream is built on its first draw, so a field that is never drawn costs
+    nothing.
     """
 
     def __init__(self, preset: DistributionPreset, seed: int):
         self.params, self.seed, self.streams = preset.params, seed, {}
 
-    def __call__(self, field: str):
-        dist, kind = self.params[field], FIELDS[field].kind
+    def value(self, name: str):
+        """Field ``name``'s next value; a vector is drawn axis by axis, as a tuple."""
+        axes = vector_axes(name)
+        if axes:
+            return tuple(self.value(f"{name}.{axis}") for axis in axes)
+        dist, kind = self.params[name], FIELDS[name].kind
         if isinstance(dist, Constant):
             return kind(dist.value)
-        rng = self.streams.get(field)
+        rng = self.streams.get(name)
         if rng is None:
-            rng = self.streams[field] = np.random.Generator(
-                np.random.PCG64(stream_seed(self.seed, field)))
+            rng = self.streams[name] = np.random.Generator(
+                np.random.PCG64(stream_seed(self.seed, name)))
         if kind is int and isinstance(dist, Uniform):
             return int(rng.integers(int(dist.low), int(dist.high) + 1))
         return kind(dist.draw(rng))
+
+    def record(self, cls, prefix: str, **given):
+        """The dataclass ``cls``, each member ``m`` not ``given`` drawn as field ``prefix + m``."""
+        return cls(**{f.name: given[f.name] if f.name in given else self.value(prefix + f.name)
+                      for f in fields(cls)})
 
 
 def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
     """Draw one valid :class:`SceneConfig` from ``preset``.
 
     Identical ``(preset, seed)`` pairs yield bit-identical configs.  One
-    documented consistency override is applied after the raw draws: Tilt and
-    Pan movements force ``focus_type = Fixed``, because re-aiming at a focus
-    target would cancel the rotation those movements describe.
+    documented consistency override replaces a draw: Tilt and Pan movements
+    take ``focus_type = Fixed``, because re-aiming at a focus target would
+    cancel the rotation those movements describe.
     """
     draw = _Draws(preset, seed)
 
-    kind = draw("object_animation.kind")
+    kind = draw.value("object_animation.kind")
     if kind is AnimationKind.SPIN:
-        animation = ObjectAnimation.spin(draw("object_animation.rate_deg_per_s"))
+        animation = ObjectAnimation.spin(draw.value("object_animation.rate_deg_per_s"))
     elif kind is AnimationKind.TRANSLATE:
-        animation = ObjectAnimation.translate(
-            tuple(draw(f"object_animation.velocity.{axis}") for axis in "xyz"))
+        animation = ObjectAnimation.translate(draw.value("object_animation.velocity"))
     else:
         animation = ObjectAnimation.none()
 
-    movement_type = draw("camera.movement_type")
-    focus_type = draw("camera.focus_type")
+    movement_type = draw.value("camera.movement_type")
+    given = {"movement_type": movement_type}
     if movement_type in (MovementType.TILT, MovementType.PAN):
-        focus_type = FocusType.FIXED
-    camera = CameraSpec(
-        focus_type=focus_type,
-        focus_position=draw("camera.focus_position"),
-        movement_type=movement_type,
-        movement_value=draw("camera.movement_value"),
-        initial_position=tuple(draw(f"camera.initial_position.{axis}") for axis in "xyz"),
-        coverage=draw("camera.coverage"),
-    )
+        given["focus_type"] = FocusType.FIXED
+    camera = draw.record(CameraSpec, "camera.", **given)
 
     # the per-light fields draw once per light from one stream, light 0 first
-    lights = tuple(
-        Light(
-            position=tuple(draw(f"lighting.position.{axis}") for axis in "xyz"),
-            color_temp=draw("lighting.color_temp"),
-            intensity=draw("lighting.intensity"),
-        )
-        for _ in range(draw("lighting.n_lights"))
-    )
-    lighting = LightingSpec(lights=lights, ambient_intensity=draw("lighting.ambient_intensity"))
+    lights = tuple(draw.record(Light, "lighting.")
+                   for _ in range(draw.value("lighting.n_lights")))
+    lighting = draw.record(LightingSpec, "lighting.", lights=lights)
 
-    scene_type = draw("environment.scene_type")
+    scene_type = draw.value("environment.scene_type")
     if scene_type is SceneType.BASIC:
-        environment = EnvSpec(scene_type, scene_color=tuple(
-            draw(f"environment.scene_color.{c}") for c in "rgb"))
+        environment = EnvSpec(scene_type, scene_color=draw.value("environment.scene_color"))
     else:
-        environment = EnvSpec(scene_type, background_color=tuple(
-            draw(f"environment.background_color.{c}") for c in "rgba"))
+        environment = EnvSpec(scene_type,
+                              background_color=draw.value("environment.background_color"))
 
-    render = RenderSpec(
-        width=draw("render.width"),
-        height=draw("render.height"),
-        quality=draw("render.quality"),
-        engine_target=draw("render.engine_target"),
-    )
-
-    cfg = SceneConfig(
-        object_ref=draw("object_ref"),
-        object_animation=animation,
-        camera=camera,
-        lighting=lighting,
-        environment=environment,
-        render=render,
-        seed=seed,
-        n_frames=draw("n_frames"),
-        fps=draw("fps"),
-    )
+    cfg = draw.record(SceneConfig, "", object_animation=animation, camera=camera,
+                      lighting=lighting, environment=environment,
+                      render=draw.record(RenderSpec, "render."), seed=seed)
 
     report = validate_config(cfg)
     if not report.ok:
@@ -390,16 +372,13 @@ def _checked(value: jsondoc.Field, field: str) -> jsondoc.Field:
     """``value`` (a bound, a category or a constant), once checked against
     ``field``'s rule in the field table."""
     rule = FIELDS[field]
-    if rule.kind is float:
-        typed = value.number()
-    elif rule.kind is int:
+    if rule.kind is int:
+        # a decoded uniform bound is a float, so 24.0 is an integer here
         if type(value.value) not in (int, float) or not value.number().is_integer():
             raise value.error(f"expected an integer, got {value.value!r}")
         typed = int(value.value)
-    elif rule.kind is str:
-        typed = value.string()
     else:
-        typed = value.enum(rule.kind)
+        typed = read_field(value, field)
     if not rule.holds(typed):
         raise value.error(f"{rule.message}, got {value.value!r}")
     return value

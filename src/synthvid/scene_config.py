@@ -11,8 +11,12 @@ raising, so callers can surface all problems at once.
 
 :data:`FIELDS` is the one field table: for each field a preset draws, it
 gives the value type, the legal-value test and the message a violation
-reports.  :func:`validate_config` tests every field against it, and
-:mod:`~synthvid.param_sampler` tests every preset value against it.
+reports; a vector has one entry per axis (:func:`vector_axes`).  With the
+config dataclasses, whose fields are each record's members, it is the only
+description of a config's leaves: :func:`decode_config` reads each field
+through :func:`read_field`, :func:`validate_config` tests each against its
+rule, and :mod:`~synthvid.param_sampler` draws each and checks every preset
+value through the same two.
 
 Conventions baked into the pipeline:
 
@@ -25,8 +29,9 @@ Conventions baked into the pipeline:
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import jsondoc
@@ -53,7 +58,9 @@ __all__ = [
     "decode_config",
     "encode_config",
     "kelvin_to_rgb",
+    "read_field",
     "validate_config",
+    "vector_axes",
 ]
 
 Vec3 = tuple[float, float, float]
@@ -301,6 +308,29 @@ FIELDS: dict[str, FieldRule] = {
 }
 
 
+@functools.cache
+def vector_axes(name: str) -> str:
+    """The axes :data:`FIELDS` lists under ``name``, in order (``"xyz"``,
+    ``"rgb"`` or ``"rgba"``), or ``""`` when ``name`` is a scalar field."""
+    return "".join(f.rpartition(".")[2] for f in FIELDS if f.startswith(name + "."))
+
+
+def read_field(value: jsondoc.Field, name: str):
+    """``value`` read as the type :data:`FIELDS` gives field ``name``: a tuple
+    of floats for a vector, else a float, int, str or enum member."""
+    axes = vector_axes(name)
+    if axes:
+        return value.vector(len(axes))
+    kind = FIELDS[name].kind
+    if kind is float:
+        return value.number()
+    if kind is int:
+        return value.integer()
+    if kind is str:
+        return value.string()
+    return value.enum(kind)
+
+
 def validate_config(cfg: SceneConfig) -> ValidationReport:
     """Check every invariant of ``cfg`` and report all violations.
 
@@ -318,8 +348,9 @@ def validate_config(cfg: SceneConfig) -> ValidationReport:
         if not rule.holds(getattr(owner, path.rpartition(".")[2], None)):
             out.append(Violation(path, rule.message))
 
-    def vector(path, owner, axes, message, name=None):
+    def vector(path, owner, message, name=None):
         value, name = getattr(owner, path.rpartition(".")[2], None), name or path
+        axes = vector_axes(name)
         if isinstance(value, tuple) and len(value) == len(axes):
             for a, c in zip(axes, value):
                 if not FIELDS[f"{name}.{a}"].holds(c):
@@ -341,14 +372,14 @@ def validate_config(cfg: SceneConfig) -> ValidationReport:
     anim = cfg.object_animation
     field("object_animation.kind", anim)
     field("object_animation.rate_deg_per_s", anim)
-    vector("object_animation.velocity", anim, "xyz", "must be a finite 3-vector")
+    vector("object_animation.velocity", anim, "must be a finite 3-vector")
 
     cam = cfg.camera
     field("camera.focus_type", cam)
     field("camera.focus_position", cam)
     field("camera.movement_type", cam)
     field("camera.movement_value", cam)
-    vector("camera.initial_position", cam, "xyz", "must be a finite 3-vector")
+    vector("camera.initial_position", cam, "must be a finite 3-vector")
     # The object pivot sits at the origin by pipeline convention, so a camera
     # there has no view direction.
     check("camera.initial_position",
@@ -365,23 +396,22 @@ def validate_config(cfg: SceneConfig) -> ValidationReport:
         out.append(Violation("lighting.lights", FIELDS["lighting.n_lights"].message))
     for i, light in enumerate(lights):
         path = f"lighting.lights[{i}]"
-        vector(f"{path}.position", light, "xyz", "must be a finite 3-vector", "lighting.position")
+        vector(f"{path}.position", light, "must be a finite 3-vector", "lighting.position")
         field(f"{path}.color_temp", light, "lighting.color_temp")
         field(f"{path}.intensity", light, "lighting.intensity")
     field("lighting.ambient_intensity", lit)
-    check("lighting", lambda: len(lit.lights) > 0 or lit.ambient_intensity > 0.0,
+    check("lighting", lambda: len(lights) > 0 or lit.ambient_intensity > 0.0,
           "scene needs at least one light or a positive ambient intensity")
 
     env = cfg.environment
     field("environment.scene_type", env)
     scene_type = getattr(env, "scene_type", None)
     if scene_type is SceneType.BASIC:
-        vector("environment.scene_color", env, "rgb",
-               "Basic scenes require an RGB scene_color in [0, 1]")
+        vector("environment.scene_color", env, "Basic scenes require an RGB scene_color in [0, 1]")
         check("environment.background_color", lambda: env.background_color is None,
               "background_color is only valid for Empty scenes")
     elif scene_type is SceneType.EMPTY:
-        vector("environment.background_color", env, "rgba",
+        vector("environment.background_color", env,
                "Empty scenes require an RGBA background_color in [0, 1]")
         check("environment.scene_color", lambda: env.scene_color is None,
               "scene_color is only valid for Basic scenes")
@@ -461,76 +491,48 @@ def encode_config(cfg: SceneConfig) -> str:
     return jsondoc.dumps(doc)
 
 
+@functools.cache
+def _members(cls, prefix: str = "", optional=()):
+    """The members of the dataclass ``cls`` that are not ``optional``, and
+    each member paired with its field name, ``prefix`` + member."""
+    names = [f.name for f in fields(cls)]
+    return (tuple(m for m in names if m not in optional),
+            tuple((m, prefix + m) for m in names))
+
+
+def _record(cls, doc: jsondoc.Field, prefix: str, optional=(), **read):
+    """The dataclass ``cls`` read from the object ``doc``: member ``m`` is read
+    by ``read[m]`` when given, else as field ``prefix + m`` of :data:`FIELDS`;
+    an ``optional`` member that is absent takes its default."""
+    required, members = _members(cls, prefix, optional)
+    present = doc.object(required, optional).value
+    return cls(**{m: read[m](doc[m]) if m in read else read_field(doc[m], name)
+                  for m, name in members if m in present})
+
+
 def decode_config(text: str | bytes, source: str = "config") -> SceneConfig:
     """Parse schema-1 config JSON read from ``source``.
 
     Malformed JSON and structurally invalid documents raise
     :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the
-    offending field (or, for a syntax error, its line and column).  Decoding
-    is intentionally independent of :func:`validate_config`: a decodable
-    config may still fail validation.
+    offending field (or, for a syntax error, its line and column).  Every
+    field is read as the type :data:`FIELDS` gives it.  Decoding is
+    intentionally independent of :func:`validate_config`: a decodable config
+    may still fail validation.
     """
-    doc = jsondoc.loads(text, source).object((
-        "schema", "object_ref", "object_animation", "camera", "lighting",
-        "environment", "render", "seed", "n_frames", "fps",
-    )).schema()
-
-    anim = doc["object_animation"].object(("kind",), ("rate_deg_per_s", "velocity"))
-    animation = ObjectAnimation(
-        kind=anim["kind"].enum(AnimationKind),
-        rate_deg_per_s=anim.get("rate_deg_per_s", 0.0).number(),
-        velocity=anim.get("velocity", [0.0, 0.0, 0.0]).vector(3),
-    )
-
-    cam = doc["camera"].object((
-        "focus_type", "focus_position", "movement_type", "movement_value",
-        "initial_position", "coverage",
-    ))
-    camera = CameraSpec(
-        focus_type=cam["focus_type"].enum(FocusType),
-        focus_position=cam["focus_position"].enum(FocusPosition),
-        movement_type=cam["movement_type"].enum(MovementType),
-        movement_value=cam["movement_value"].number(),
-        initial_position=cam["initial_position"].vector(3),
-        coverage=cam["coverage"].number(),
-    )
-
-    lit = doc["lighting"].object(("lights", "ambient_intensity"))
-    lights = []
-    for entry in lit["lights"].elements():
-        entry.object(("position", "color_temp", "intensity"))
-        lights.append(Light(
-            position=entry["position"].vector(3),
-            color_temp=entry["color_temp"].number(),
-            intensity=entry["intensity"].number(),
-        ))
-    lighting = LightingSpec(lights=tuple(lights),
-                            ambient_intensity=lit["ambient_intensity"].number())
-
-    env = doc["environment"].object(("scene_type",), ("scene_color", "background_color"))
-    environment = EnvSpec(
-        scene_type=env["scene_type"].enum(SceneType),
-        scene_color=env["scene_color"].vector(3) if "scene_color" in env else None,
-        background_color=(env["background_color"].vector(4) if "background_color" in env
-                          else None),
-    )
-
-    ren = doc["render"].object(("width", "height", "quality", "engine_target"))
-    render = RenderSpec(
-        width=ren["width"].integer(),
-        height=ren["height"].integer(),
-        quality=ren["quality"].enum(RenderQuality),
-        engine_target=ren["engine_target"].enum(EngineTarget),
-    )
-
+    doc = jsondoc.loads(text, source).object(("schema",) + _members(SceneConfig)[0]).schema()
+    # keywords in document order, so the first of several faults is reported
     return SceneConfig(
-        object_ref=doc["object_ref"].string(),
-        object_animation=animation,
-        camera=camera,
-        lighting=lighting,
-        environment=environment,
-        render=render,
+        object_animation=_record(ObjectAnimation, doc["object_animation"], "object_animation.",
+                                 optional=("rate_deg_per_s", "velocity")),
+        camera=_record(CameraSpec, doc["camera"], "camera."),
+        lighting=_record(LightingSpec, doc["lighting"], "lighting.", lights=lambda lights: tuple(
+            _record(Light, entry, "lighting.") for entry in lights.elements())),
+        environment=_record(EnvSpec, doc["environment"], "environment.",
+                            optional=("scene_color", "background_color")),
+        render=_record(RenderSpec, doc["render"], "render."),
+        object_ref=read_field(doc["object_ref"], "object_ref"),
         seed=doc["seed"].integer(),
-        n_frames=doc["n_frames"].integer(),
-        fps=doc["fps"].integer(),
+        n_frames=read_field(doc["n_frames"], "n_frames"),
+        fps=read_field(doc["fps"], "fps"),
     )

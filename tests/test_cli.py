@@ -282,6 +282,23 @@ def test_out_of_range_preset_names_file_and_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_preset_breaking_a_rule_across_fields_names_file(tmp_path, capsys):
+    from synthvid.param_sampler import PresetLibrary, encode_preset
+
+    doc = json.loads(encode_preset(PresetLibrary.default().get("random")))
+    doc["name"] = "z"
+    doc["params"]["render.width"] = {"kind": "constant", "value": 100000}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("sample-configs", "--preset", "z", "--preset-file", str(path),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: preset 'z' produced an invalid config:\n"
+        "render: width*height must not exceed 4000000\n")
+    assert not out.exists()
+
+
 def test_registry_with_unknown_kind_names_file_and_field(tmp_path, config_file, capsys):
     path, args = _caption_args(tmp_path, config_file,
                                {"schema": 1, "entries": {"Bogus": {"x": {"Generic": "an x"}}}})

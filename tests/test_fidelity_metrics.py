@@ -354,15 +354,19 @@ def test_read_tracks_prefixes_the_file_path(tmp_path):
 
 @pytest.mark.parametrize("key, size", [("width", 0), ("width", -200), ("height", 0)])
 def test_track_file_with_an_empty_image_is_rejected(tmp_path, key, size):
-    # read as they stand, these exact tracks (e about 2e-14 px) would report
-    # e of 18 to 69 px: the principal point moves with the image size
+    # read or built as they stand, these exact tracks (e about 2e-14 px) would
+    # report e of 18 to 69 px: the principal point moves with the image size
     doc = _track_doc()
+    good = tracks_from_json(json.dumps(doc))
     doc[key] = size
     path = tmp_path / "tracks.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="^" + re.escape(
             f"{path}: {key}: expected an integer >= 1, got {size}") + "$"):
         read_tracks(path)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{key}: expected an integer >= 1, got {size}") + "$"):
+        dataclasses.replace(good, **{key: size})
 
 
 def test_track_behind_a_camera_is_dropped():

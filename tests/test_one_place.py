@@ -1,8 +1,9 @@
 """Each concept below is written in one module of ``src/synthvid``, its home.
 
 The renderer and the track generator must agree on which faces point at the
-camera and where a point lands in the image, and every JSON document goes
-through one codec.  A copy of any of these in another module is the start
+camera and where a point lands in the image, every JSON document goes
+through one codec, and a config field's type and vector axes are read from
+the one field table.  A copy of any of these in another module is the start
 of a second model, so this scan fails when a pattern shows up outside its
 home.
 """
@@ -22,6 +23,8 @@ CONCEPTS = {
     "facing-test": ("meshes.py", r"einsum\(.*position - "),
     "world-to-camera": ("camera_rig.py", r"\.rotation\.T\b"),
     "pixel-mapping": ("camera_rig.py", r"/ 2\.0 \+ \w+ \* \w+"),
+    "config-vector-axes": ("scene_config.py", r'\bin "(?:xyz|rgba?)"'),
+    "config-field-type-switch": ("scene_config.py", r"\bkind is (?:float|str)\b"),
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,10 +18,12 @@ from synthvid.scene_config import (
     RenderSpec,
     SceneConfig,
     SceneType,
+    FIELDS,
     decode_config,
     encode_config,
     kelvin_to_rgb,
     validate_config,
+    vector_axes,
 )
 
 from conftest import make_config
@@ -79,6 +82,7 @@ def test_lighting_requires_some_source():
     ("junk", "must be a tuple of lights"),
     ([make_config().lighting.lights[0]], "must be a tuple of lights"),
     (make_config().lighting.lights * 3, "must be between 0 and 2 lights"),
+    (None, "must be a tuple of lights"),
 ])
 def test_bad_lights_are_one_violation(lights, message):
     report = validate_config(_mutated(make_config(), "lighting.lights", lights))
@@ -104,7 +108,6 @@ def test_validation_is_total_on_garbage_fields():
 
 
 def test_validation_total_over_sampled_then_mutated_configs(rng):
-    import dataclasses
     preset = PresetLibrary.default().get("random")
     poison = [None, float("nan"), float("inf"), "junk", -1, (), (1.0,), True]
     fields = [f.name for f in dataclasses.fields(SceneConfig)]
@@ -166,7 +169,36 @@ def test_validation_reports_are_pinned():
                     pass  # an earlier replacement removed the field
             report = validate_config(cfg)
             h.update(repr([(v.path, v.message) for v in report.violations]).encode())
-    assert h.hexdigest() == "bab6cb15c95972a70f02aa0d2bf74bba9a49e2c9580558a10a046fb01a361b6e"
+    assert h.hexdigest() == "927ca610caa435ded04c749dab87a9f5979741d1f92fc2a127abca786ef91c17"
+
+
+# -- the field table --
+
+
+def test_field_table_covers_every_config_leaf():
+    # every leaf but seed names a field, or a vector whose axes match its
+    # length; lighting.lights is a tuple of Light records, read under
+    # "lighting." like the lighting spec itself
+    cfg = make_config(object_animation=ObjectAnimation.translate((0.1, 0.2, 0.3)),
+                      environment=EnvSpec(SceneType.BASIC, (0.5, 0.5, 0.5), (0.0, 0.0, 0.0, 1.0)))
+    named = set()
+
+    def walk(record, prefix):
+        for f in dataclasses.fields(record):
+            value, name = getattr(record, f.name), prefix + f.name
+            if dataclasses.is_dataclass(value):
+                walk(value, name + ".")
+            elif name == "lighting.lights":
+                walk(value[0], "lighting.")
+            elif isinstance(value, tuple):
+                assert len(vector_axes(name)) == len(value), name
+                named.update(f"{name}.{axis}" for axis in vector_axes(name))
+            elif name != "seed":
+                assert name in FIELDS and vector_axes(name) == "", name
+                named.add(name)
+
+    walk(cfg, "")
+    assert set(FIELDS) - named == {"lighting.n_lights"}
 
 
 # -- serialization --
@@ -234,6 +266,61 @@ def test_missing_field_is_rejected_by_name():
     del doc["camera"]["coverage"]
     with pytest.raises(FormatError, match=r"^config: camera\.coverage: missing$"):
         decode_config(json.dumps(doc))
+
+
+# JSON values a mutation puts in a config document: every JSON type, edge
+# numbers, legal words of other fields, and lists of every vector length
+DECODE_VALUES = (
+    None, True, 0, -1, 2.5, 1e308, 10 ** 400, math.inf, "junk", "", "Pan", "Basic", "Low",
+    [], [1.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 1.0], [0.5, "x", 0.5], {}, {"x": 1},
+)
+
+
+def _member_paths(value, prefix=()):
+    """The path of every member and list item under ``value``, parents first."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _member_paths(child, prefix + (key,))
+
+
+def test_decode_outcomes_are_pinned():
+    # SHA-256 over the outcome of decoding sampled config documents with one to
+    # three members replaced, deleted or added: the re-encoded config, or the
+    # error text.  Any change to what decode_config accepts, to the type it
+    # reads a field as, or to which of several faults it reports first changes
+    # the digest.
+    rng = np.random.default_rng(13)
+    library = PresetLibrary.default()
+    h = hashlib.sha256()
+    for name in ("random", "forward_only", "forward_following"):
+        for seed in range(300):
+            text = encode_config(sample_config(library.get(name), seed))
+            for _ in range(4):
+                doc = json.loads(text)
+                for _ in range(int(rng.integers(1, 4))):
+                    paths = list(_member_paths(doc))
+                    *head, key = paths[int(rng.integers(len(paths)))]
+                    parent = doc
+                    for step in head:
+                        parent = parent[step]
+                    value = copy.deepcopy(DECODE_VALUES[int(rng.integers(len(DECODE_VALUES)))])
+                    action = int(rng.integers(3))
+                    if action == 0:
+                        parent[key] = value
+                    elif action == 1:
+                        del parent[key]
+                    elif isinstance(parent, dict):
+                        parent[f"extra_{key}"] = value
+                    else:
+                        parent.insert(key, value)
+                try:
+                    outcome = encode_config(decode_config(json.dumps(doc), "mutant.json"))
+                except FormatError as exc:
+                    outcome = str(exc)
+                h.update(outcome.encode())
+    assert h.hexdigest() == "7e1ab127fbad49b312722546b08b26dada3ee0a1642346c0a6b2f5beb1f217b2"
 
 
 # -- color temperature --
