@@ -191,15 +191,22 @@ def look_at(position, target, up=WORLD_UP) -> np.ndarray:
         raise ValueError("camera position and look-at target coincide")
     forward = offset / dist
 
-    right = np.cross(forward, up)
+    right = _cross(forward, up)
     norm = np.linalg.norm(right)
     if norm < 1e-12:
         raise DegenerateLookAtError(
             "view direction is parallel to the up vector; camera roll is undefined")
     right = right / norm
-    down = np.cross(forward, right)
+    down = _cross(forward, right)
 
     return np.stack([right, down, forward])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, with the same products and differences in
+    the same order (so the same bits), without its call overhead."""
+    (ax, ay, az), (bx, by, bz) = a.tolist(), b.tolist()
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
 def focal_from_coverage(bounding_radius: float, distance: float, coverage: float,
@@ -368,14 +375,14 @@ def trajectory_to_json(traj: CameraTrajectory) -> dict:
     return {
         "cameras": [
             {
-                "rotation": [float(x) for x in c.rotation.ravel()],  # row-major
-                "position": [float(x) for x in c.position],
+                "rotation": c.rotation.ravel().tolist(),  # row-major
+                "position": c.position.tolist(),
                 "focal_mm": c.focal_mm,
                 "sensor_height_mm": c.sensor_height_mm,
             }
             for c in traj.frames
         ],
-        "focus_history": [[float(x) for x in row] for row in traj.focus_history],
+        "focus_history": traj.focus_history.tolist(),
     }
 
 
@@ -383,18 +390,41 @@ def trajectory_from_json(doc: dict, source: str) -> CameraTrajectory:
     """Inverse of :func:`trajectory_to_json`; other keys of ``doc`` are ignored.
 
     A missing, mistyped or invalid field raises
-    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path.
+    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path;
+    with several faults, the first in document order.  Keys and numbers are
+    checked record by record, and each array field of all the records at once.
     """
     root = jsondoc.Field(doc, source)
-    frames = []
-    for rec in root["cameras"].elements():
-        rec.object(("rotation", "position", "focal_mm", "sensor_height_mm"))
-        frames.append(rec.make(
-            PinholeCamera,
-            position=rec["position"].array((3,)),
-            rotation=rec["rotation"].array((9,)).reshape(3, 3),
-            focal_mm=rec["focal_mm"].number(),
-            sensor_height_mm=rec["sensor_height_mm"].number(),
-        ))
+    records = root["cameras"].elements()
+    # Faults are (record, stage, error), and the least is reported.  A
+    # record's stages are the order of its checks: keys 0, position 1,
+    # rotation 2, focal_mm 3, sensor_height_mm 4; PinholeCamera checks the
+    # values last, as the records before the first fault are built.
+    focals, sensors, faults = [], [], []
+    for i, rec in enumerate(records):
+        stage = 0
+        try:
+            rec.object(("rotation", "position", "focal_mm", "sensor_height_mm"))
+            stage = 3
+            focals.append(rec["focal_mm"].number())
+            stage = 4
+            sensors.append(rec["sensor_height_mm"].number())
+        except jsondoc.FormatError as exc:
+            faults.append((i, stage, exc))
+            break
+    read = records[:faults[0][0] + (faults[0][1] > 0)] if faults else records
+    arrays = []
+    for stage, (key, size) in enumerate((("position", 3), ("rotation", 9)), 1):
+        arr, count, error = jsondoc._leading_arrays(read, key, (size,))
+        arrays.append(arr.reshape(-1, size))
+        if error is not None:
+            faults.append((count, stage, error))
+    end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(records), 0, None))
+    frames = tuple(rec.make(PinholeCamera, position=position, rotation=rotation.reshape(3, 3),
+                            focal_mm=focal, sensor_height_mm=sensor)
+                   for rec, position, rotation, focal, sensor
+                   in zip(records[:end], *arrays, focals, sensors))
+    if error is not None:
+        raise error
     history = root["focus_history"].array((len(frames), 3))
-    return CameraTrajectory(frames=tuple(frames), focus_history=history)
+    return CameraTrajectory(frames=frames, focus_history=history)

@@ -23,7 +23,9 @@ reprojection error.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +75,7 @@ class Track:
         pixels = np.asarray(self.pixels, dtype=float).reshape(len(frames), 2)
         if len(frames) < 2:
             raise ValueError("a track needs at least two observations")
-        if (np.diff(frames) <= 0).any():
+        if (frames[1:] <= frames[:-1]).any():
             raise ValueError("observation frame indices must be strictly increasing")
         if not np.isfinite(pixels).all():
             bad = pixels[~np.isfinite(pixels).all(axis=1)][0].tolist()
@@ -101,7 +103,11 @@ class FeatureTrackSet:
             if not (isinstance(size, (int, np.integer)) and size >= 1):
                 raise ValueError(f"{key}: expected an integer >= 1, got {size!r}")
         n_cameras = len(self.cameras)
-        for track in self.tracks:
+        first = {}
+        for i, track in enumerate(self.tracks):
+            problem = _point_id_problem(track.point_id, i, first.setdefault(track.point_id, i))
+            if problem:
+                raise ValueError(f"tracks[{i}].point_id: {problem}")
             # frames are strictly increasing, so the ends bound them all
             if track.frames[0] < 0 or track.frames[-1] >= n_cameras:
                 bad = track.frames[(track.frames < 0) | (track.frames >= n_cameras)][0]
@@ -110,6 +116,16 @@ class FeatureTrackSet:
 
     def __len__(self):
         return len(self.tracks)
+
+
+def _point_id_problem(point_id: int, index: int, first: int) -> str | None:
+    """What is wrong with track ``index``'s point id, which track ``first`` was
+    the first to use, or None."""
+    if point_id < 0:
+        return f"expected an integer >= 0, got {point_id}"
+    if first != index:
+        return f"{point_id} repeats tracks[{first}].point_id"
+    return None
 
 
 def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height: int,
@@ -345,6 +361,7 @@ def recon_metrics(track_set: FeatureTrackSet) -> ReconMetrics:
 
 
 def tracks_to_json(track_set: FeatureTrackSet) -> str:
+    """The schema-1 track file: one line per camera, focus target and track."""
     doc = {
         "schema": jsondoc.SCHEMA_VERSION,
         "width": track_set.width,
@@ -353,26 +370,27 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
         "tracks": [
             {
                 "point_id": t.point_id,
-                "true_point": None if t.true_point is None
-                              else [float(x) for x in t.true_point],
-                "observations": [
-                    [int(k), float(px[0]), float(px[1])]
-                    for k, px in zip(t.frames, t.pixels)
-                ],
+                "true_point": None if t.true_point is None else t.true_point.tolist(),
+                "observations": [[k, u, v] for k, (u, v)
+                                 in zip(t.frames.tolist(), t.pixels.tolist())],
             }
             for t in track_set.tracks
         ],
     }
-    return jsondoc.dumps(doc)
+    return jsondoc.dumps_rows(doc)
 
 
 def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTrackSet:
     """Parse a schema-1 track set read from ``source``.
 
     Malformed JSON, a missing, unknown or mistyped field, an image size
-    below 1, an observation of a frame outside the camera list and a
-    ``focus_history`` whose length differs from the camera count raise
-    :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path.
+    below 1, an observation of a frame outside the camera list, a negative
+    or repeated ``point_id`` and a ``focus_history`` whose length differs
+    from the camera count raise :class:`~synthvid.jsondoc.FormatError` naming
+    ``source`` and the field path; with several faults, the first in
+    document order.  Keys and point ids are checked track by track; the
+    observations of all tracks are checked as one (n, 3) array, and the
+    true points as another.
     """
     doc = jsondoc.loads(text, source).object(
         ("schema", "width", "height", "cameras", "focus_history", "tracks")).schema()
@@ -382,20 +400,54 @@ def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTra
             raise doc[key].error(f"expected an integer >= 1, got {size}")
     cameras = trajectory_from_json(doc.value, source)
     n_cameras = len(cameras)
-    tracks = []
-    for t in doc["tracks"].elements():
-        t.object(("point_id", "observations"), ("true_point",))
-        obs = t["observations"].array((-1, 3))
-        frames = obs[:, 0]
-        bad = ~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames))
-        if bad.any():
-            raise t["observations"].error(f"frame index {frames[bad][0]:g} is not an integer "
-                                          f"in [0, {n_cameras})")
-        point_id = t["point_id"].integer()
-        true_point = t.get("true_point")
-        true_point = None if true_point.value is None else true_point.array((3,))
-        tracks.append(t.make(Track, point_id, frames.astype(int), obs[:, 1:], true_point))
-    return FeatureTrackSet(tracks=tuple(tracks), cameras=cameras, width=width, height=height)
+    items = doc["tracks"].elements()
+    # Faults are (track, stage, error), and the least is reported.  A track's
+    # stages are the order of its checks: keys 0, observations 1, frame range
+    # 2, point id 3, true point 4; its length and frame order are checked
+    # last, by Track, as the tracks before the first fault are built.
+    point_ids, first, faults = [], {}, []
+    for i, t in enumerate(items):
+        stage = 0
+        try:
+            t.object(("point_id", "observations"), ("true_point",))
+            stage = 3
+            point_id = t["point_id"].integer()
+            problem = _point_id_problem(point_id, i, first.setdefault(point_id, i))
+            if problem:
+                raise t["point_id"].error(problem)
+        except jsondoc.FormatError as exc:
+            faults.append((i, stage, exc))
+            break
+        point_ids.append(point_id)
+    read = items[:faults[0][0] + (faults[0][1] > 0)] if faults else items
+
+    obs, count, error = jsondoc._leading_arrays(read, "observations", (-1, 3))
+    if error is not None:
+        faults.append((count, 1, error))
+    ends = list(accumulate(len(t.value["observations"]) for t in read[:count]))
+    frames = obs[:, 0]
+    bad = np.flatnonzero(~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames)))
+    if len(bad):
+        k = bisect_right(ends, bad[0])
+        faults.append((k, 2, read[k]["observations"].error(
+            f"frame index {frames[bad[0]]:g} is not an integer in [0, {n_cameras})")))
+
+    pointed = [k for k, t in enumerate(read) if t.value.get("true_point") is not None]
+    points, count, error = jsondoc._leading_arrays([read[k] for k in pointed], "true_point", (3,))
+    if error is not None:
+        faults.append((pointed[count], 4, error))
+    points = iter(points.reshape(-1, 3))
+
+    end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(items), 0, None))
+    bounds = [0, *ends[:end]]   # the rows of each track before the first fault
+    frames = frames[:bounds[-1]].astype(int)
+    tracks = tuple(
+        t.make(Track, point_id, frames[a:b], obs[a:b, 1:],
+               None if t.value.get("true_point") is None else next(points))
+        for t, point_id, a, b in zip(items, point_ids, bounds, bounds[1:]))
+    if error is not None:
+        raise error
+    return FeatureTrackSet(tracks=tracks, cameras=cameras, width=width, height=height)
 
 
 def write_tracks(track_set: FeatureTrackSet, path) -> None:

@@ -6,16 +6,21 @@ Its typed getters check one value each.  A malformed document raises
 :class:`FormatError` with the message ``<source>: <field path>: <problem>``;
 a syntax error names its line and column instead of a field.  Numbers must
 be finite, and :meth:`Field.object` rejects keys it was not told about.
+
+:func:`dumps` writes the indented file form, :func:`dumps_line` one compact
+line, and :func:`dumps_rows` the file form of a large object: one compact
+line per member and per item of a list member, written by the C encoder.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
-__all__ = ["Field", "FormatError", "SCHEMA_VERSION", "dumps", "dumps_line", "loads"]
+__all__ = ["Field", "FormatError", "SCHEMA_VERSION", "dumps", "dumps_line", "dumps_rows", "loads"]
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +47,60 @@ def dumps(doc) -> str:
 def dumps_line(doc) -> str:
     """The compact one-line form, without a newline."""
     return json.dumps(doc)
+
+
+def dumps_rows(doc: dict) -> str:
+    """The row form of an object: each member on its own line, each item of a
+    non-empty list member on its own line, every line compact, and a trailing
+    newline.  Each line goes through the C encoder, which the indented form
+    cannot use.
+    """
+    members = []
+    for key, value in doc.items():
+        if type(value) is list and value:
+            value = "[\n    " + ",\n    ".join(map(json.dumps, value)) + "\n  ]"
+        else:
+            value = json.dumps(value)
+        members.append(f"\n  {json.dumps(key)}: {value}")
+    return "{" + ",".join(members) + "\n}\n"
+
+
+def _leading_arrays(records: list["Field"], key: str, shape: tuple[int, ...]):
+    """Member ``key`` of each of ``records`` (objects holding it) read as by
+    ``record[key].array(shape)``, in one pass where that is exact.
+
+    ``shape`` is ``(k,)`` or ``(-1, k)``.  Returns ``(joined, count, error)``:
+    the arrays of the first ``count`` records concatenated along their first
+    axis, and the error of record ``count``, the first that fails (None when
+    none does).  One numpy array holds all the values when they are only
+    floats and integers within int64.  Otherwise the records are read one by
+    one, because numpy types each array from its own values alone: a boolean
+    passes beside numbers but not on its own, and an integer past int64
+    passes beside floats but not beside integers.
+    """
+    inner = shape[1:] if shape[0] == -1 else shape
+    rows = [record.value[key] for record in records]
+    if shape[0] == -1:
+        rows = list(chain.from_iterable(rows)) if all(type(v) is list for v in rows) else None
+    if rows is not None:
+        try:
+            arr = np.array(rows) if rows else np.empty((0,) + inner)
+        except ValueError:  # ragged nesting
+            arr = None
+        if (arr is not None and arr.shape == (len(rows),) + inner and arr.dtype.kind in "if"
+                and np.isfinite(arr).all()):
+            types = set(map(type, chain.from_iterable(rows)))
+            if types <= {int, float} and (int not in types or np.abs(arr).max() < 2.0 ** 63):
+                return arr.astype(float, copy=False).reshape((-1,) + shape[1:]), len(records), None
+    parts, error = [], None
+    for record in records:
+        try:
+            parts.append(record[key].array(shape))
+        except FormatError as exc:
+            error = exc
+            break
+    joined = np.concatenate(parts) if parts else np.empty((0,) + shape[1:])
+    return joined, len(parts), error
 
 
 class Field:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,37 @@ def make_config(**overrides) -> SceneConfig:
     )
     fields.update(overrides)
     return SceneConfig(**fields)
+
+
+def _member_paths(value, prefix=()):
+    """The path of every member and list item under ``value``, parents first."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _member_paths(child, prefix + (key,))
+
+
+def mutate_members(doc, rng, values) -> None:
+    """Replace, delete or add (beside it, or before it in a list) one to three
+    members or list items of the JSON document ``doc``, in place, with
+    copies of ``values`` drawn by ``rng``."""
+    for _ in range(int(rng.integers(1, 4))):
+        paths = list(_member_paths(doc))
+        *head, key = paths[int(rng.integers(len(paths)))]
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        value = copy.deepcopy(values[int(rng.integers(len(values)))])
+        action = int(rng.integers(3))
+        if action == 0:
+            parent[key] = value
+        elif action == 1:
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[f"extra_{key}"] = value
+        else:
+            parent.insert(key, value)
 
 
 @pytest.fixture

@@ -51,6 +51,18 @@ def test_look_at_orthonormal_over_random_draws(rng):
         assert np.allclose(rot[2], forward, atol=1e-9)
 
 
+def test_look_at_equals_numpy_cross_bit_for_bit(rng):
+    # look_at spells out its cross products; np.cross is the reference
+    scales = np.array([1e-6, 1.0, 1e6])
+    for _ in range(2000):
+        position, target, up = rng.standard_normal((3, 3)) * rng.choice(scales, (3, 1))
+        forward = (target - position) / np.linalg.norm(target - position)
+        right = np.cross(forward, up)
+        right = right / np.linalg.norm(right)
+        want = np.stack([right, np.cross(forward, right), forward])
+        assert look_at(position, target, up).tobytes() == want.tobytes()
+
+
 # -- focal_from_coverage --
 
 

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -23,7 +26,7 @@ from synthvid.jsondoc import FormatError
 from synthvid.meshes import bounding_sphere, transformed, uv_sphere
 from synthvid.scene_config import FocusType, MovementType
 
-from conftest import make_config
+from conftest import make_config, mutate_members
 
 W, H = 200, 150
 SPHERE = uv_sphere()
@@ -235,15 +238,45 @@ def test_metrics_report_holds_exactly_the_four_metrics():
 # -- serialization --
 
 
-def test_tracks_json_round_trip():
+def _noisy_tracks():
     traj = _trajectory(MovementType.SPIN, 200.0, 12)
     # a sensor height per camera, so a reader that drops the field shows
     traj = CameraTrajectory(tuple(dataclasses.replace(c, sensor_height_mm=20.0 + 0.5 * k)
                                   for k, c in enumerate(traj.frames)), traj.focus_history)
-    tracks = generate_tracks(SPHERE, traj, W, H, 0.3, seed=3)
+    return generate_tracks(SPHERE, traj, W, H, 0.3, seed=3)
+
+
+def test_tracks_json_round_trip():
+    tracks = _noisy_tracks()
     text = tracks_to_json(tracks)
     loaded = tracks_from_json(text)
     assert tracks_to_json(loaded) == text
+    _assert_same_set(loaded, tracks)
+
+
+def test_track_file_in_the_indented_layout_loads_equal():
+    # track files were once written with a two-space indent throughout; the
+    # reader takes any layout of the same JSON
+    tracks = _noisy_tracks()
+    text = json.dumps(json.loads(tracks_to_json(tracks)), indent=2) + "\n"
+    assert text.count("\n") > 4 * sum(len(t) for t in tracks.tracks)
+    loaded = tracks_from_json(text)
+    _assert_same_set(loaded, tracks)
+    assert tracks_to_json(loaded) == tracks_to_json(tracks)
+
+
+def test_track_file_has_one_line_per_camera_and_track():
+    tracks = _noisy_tracks()
+    lines = tracks_to_json(tracks).splitlines()
+    n_cameras = len(tracks.cameras)
+    assert len(lines) == 11 + 2 * n_cameras + len(tracks)
+    assert lines[:5] == ["{", '  "schema": 1,', f'  "width": {W},', f'  "height": {H},',
+                         '  "cameras": [']
+    assert lines[5].startswith('    {"rotation": [')
+    assert lines[-3].startswith('    {"point_id": ') and lines[-2:] == ["  ]", "}"]
+
+
+def _assert_same_set(loaded, tracks):
     assert (loaded.width, loaded.height) == (tracks.width, tracks.height)
     assert len(loaded.cameras) == len(tracks.cameras)
     for a, b in zip(loaded.cameras.frames, tracks.cameras.frames):
@@ -327,6 +360,8 @@ BAD_TRACK_DOCS = {
                          "tracks[1].observations: expected a n x 3 array of numbers"),
     "single observation": (_set(["tracks", 0, "observations", slice(1, None)], []),
                            "tracks[0]: a track needs at least two observations"),
+    "negative point_id": (_set(["tracks", 2, "point_id"], -5),
+                          "tracks[2].point_id: expected an integer >= 0, got -5"),
 }
 
 
@@ -349,6 +384,107 @@ def test_read_tracks_prefixes_the_file_path(tmp_path):
         read_tracks(path)
     path.write_text("{not json")
     with pytest.raises(ValueError, match=r"bad\.json: Expecting property name"):
+        read_tracks(path)
+
+
+# a small track set written without tracks_to_json, so that its bytes do not
+# depend on the writer: exact axis-aligned rotations, one track without a
+# true point and one whose true point is null
+PINNED_TRACK_DOC = {
+    "schema": 1, "width": 64, "height": 48,
+    "cameras": [
+        {"rotation": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+         "position": [0.0, 0.0, -5.0], "focal_mm": 20.0, "sensor_height_mm": 24.0},
+        {"rotation": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+         "position": [0.5, 0.0, -5.0], "focal_mm": 22.5, "sensor_height_mm": 24.0},
+        {"rotation": [1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+         "position": [0.0, 5.0, 0.25], "focal_mm": 35, "sensor_height_mm": 36.0},
+        {"rotation": [-1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0],
+         "position": [-0.5, 0.0, -5.0], "focal_mm": 20.0, "sensor_height_mm": 24.0},
+    ],
+    "focus_history": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.25], [0.0, 0.0, 0.0]],
+    "tracks": [
+        {"point_id": 0, "true_point": [0.1, 0.2, 0.3],
+         "observations": [[0, 30.5, 20.25], [1, 31.0, 21.5], [3, 12.75, 40.0]]},
+        {"point_id": 3, "true_point": [-0.4, 0.0, 1.0],
+         "observations": [[1, 2.5, 3.5], [2, 60.0, 47.5]]},
+        {"point_id": 4, "observations": [[0, 1.0, 2.0], [2, 3.0, 4.0], [3, 5.0, 6.0]]},
+        {"point_id": 7, "true_point": None, "observations": [[2, 8.5, 9.5], [3, 10.5, 11.5]]},
+        {"point_id": 9, "true_point": [0.0, 0.5, -0.5],
+         "observations": [[0, 63.5, 0.0], [1, 0.0, 47.0], [2, 32.0, 24.0], [3, 33.0, 25.0]]},
+        {"point_id": 10, "true_point": [1, 2, 3], "observations": [[0, 5, 6], [3, 7, 8]]},
+        {"point_id": 2, "true_point": [0.25, 0.25, 0.25],
+         "observations": [[1, 40.5, 30.5], [2, 41.5, 31.5], [3, 42.5, 32.5]]},
+        {"point_id": 12, "true_point": [0.0, 0.0, 0.0],
+         "observations": [[0, 16.0, 16.0], [2, 17.0, 17.0]]},
+        {"point_id": 1, "true_point": [0.5, -0.5, 0.5],
+         "observations": [[0, 1e-3, 2e-3], [1, 1.5e1, 2.5e1], [2, 48.0, 36.0]]},
+    ],
+}
+
+# values a mutation puts in the document: the JSON edge cases of every reader
+# check (legal frames, repeated and negative ids, booleans, integers past
+# int64, non-finite numbers, wrong shapes)
+TRACK_MUTATION_VALUES = (
+    None, True, False, 0, 1, 2, 3, 4, -1, -5, 0.5, 2.0, 12, 1e308, 2 ** 63, 2 ** 70, 10 ** 400,
+    math.inf, math.nan, "junk", "", [], [1.0], [0.5, 0.5, 0.5], [1, 2, 3], [True, 1.0, 2.0],
+    [True, False, True], [[0, 1.5, 2.5], [2, 3.5, 4.5]], [[0, 1.5], [1, 2.5]], {}, {"x": 1},
+)
+
+
+def _mutated_track_docs(n_docs, seed):
+    """``n_docs`` copies of ``PINNED_TRACK_DOC``, each with one to three members
+    replaced, deleted or inserted."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_docs):
+        doc = copy.deepcopy(PINNED_TRACK_DOC)
+        mutate_members(doc, rng, TRACK_MUTATION_VALUES)
+        yield json.dumps(doc)
+
+
+def _track_decode_outcome(text):
+    """The decoded set as layout-free JSON, or the reader's error text."""
+    try:
+        track_set = tracks_from_json(text, "mutant.json")
+    except FormatError as exc:
+        return str(exc)
+    return json.dumps(json.loads(tracks_to_json(track_set)), sort_keys=True)
+
+
+# a rotation near the float limit overflows in the orthonormality check, which rejects it
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_track_decode_outcomes_are_pinned():
+    # SHA-256 over the outcome of reading 4,000 mutants of one small track
+    # set: the re-encoded set, or the error text.  Any change to what
+    # tracks_from_json accepts, to the values it reads, or to which of several
+    # faults it reports first changes the digest; the track-file layout does not.
+    assert _track_decode_outcome(json.dumps(PINNED_TRACK_DOC)).startswith("{")
+    h = hashlib.sha256()
+    for text in _mutated_track_docs(4000, seed=29):
+        h.update(_track_decode_outcome(text).encode())
+    assert h.hexdigest() == "6d35be2f4b49c509f87f9a88bd459846024f2aae4dab2da8a831eae366262431"
+
+
+def test_track_set_rejects_a_repeated_or_negative_point_id(tmp_path):
+    # a repeated track counts its point twice in N and T, and a negative id
+    # names a mesh vertex from the end of the vertex list
+    good = generate_tracks(SPHERE, _trajectory(MovementType.SPIN, 360.0, n_frames=8), W, H,
+                           0.0, seed=1)
+    first = good.tracks[0]
+    repeat = f"tracks[{len(good)}].point_id: {first.point_id} repeats tracks[0].point_id"
+    with pytest.raises(ValueError, match="^" + re.escape(repeat) + "$"):
+        dataclasses.replace(good, tracks=good.tracks + (first, first))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "tracks[0].point_id: expected an integer >= 0, got -5") + "$"):
+        dataclasses.replace(good, tracks=(dataclasses.replace(first, point_id=-5),)
+                            + good.tracks[1:])
+
+    doc = json.loads(tracks_to_json(good))
+    doc["tracks"] += [doc["tracks"][0]] * 2
+    path = tmp_path / "tracks.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {repeat}") + "$"):
         read_tracks(path)
 
 

@@ -1,6 +1,7 @@
 """The one JSON codec: its guard, its getters, and a fuzz of every decoder.
 
-The fuzz starts from a valid document per decoder and draws one mutation:
+The fuzz starts from a valid document per decoder, written by its own
+writer (the row form for track sets), and draws one mutation:
 truncated text, a value replaced by any JSON value (NaN and huge integers
 included), a field retyped, a member deleted or an unknown member added.
 Each case must either decode, and then its encoding must decode back
@@ -136,6 +137,32 @@ def test_writers_keep_their_two_forms():
     doc = {"schema": 1, "x": [1.5, None], "s": "é"}
     assert jsondoc.dumps(doc) == json.dumps(doc, indent=2) + "\n"
     assert jsondoc.dumps_line(doc) == json.dumps(doc)
+
+
+def test_row_form_puts_each_member_and_list_item_on_a_line():
+    doc = {"schema": 1, "x": [1.5, None], "s": "é", "e": [], "o": {"a": [1, 2]}}
+    assert jsondoc.dumps_rows(doc) == (
+        '{\n  "schema": 1,\n  "x": [\n    1.5,\n    null\n  ],\n  "s": "\\u00e9",\n'
+        '  "e": [],\n  "o": {"a": [1, 2]}\n}\n')
+
+
+# JSON objects as json.loads returns them: no NaN, which equals nothing
+JSON_OBJECTS = st.dictionaries(st.text(max_size=4), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(JSON_OBJECTS)
+def test_row_form_reads_back_equal_and_re_encodes_identically(doc):
+    text = jsondoc.dumps_rows(doc)
+    assert json.loads(text) == doc
+    assert jsondoc.dumps_rows(json.loads(text)) == text
+    assert text.endswith("}\n") and text.count("\n") == 2 + len(doc) + sum(
+        len(v) + 1 for v in doc.values() if type(v) is list and v)
 
 
 # -- fuzz --

@@ -26,7 +26,7 @@ from synthvid.scene_config import (
     vector_axes,
 )
 
-from conftest import make_config
+from conftest import make_config, mutate_members
 
 
 def test_well_formed_spin_config_validates():
@@ -276,15 +276,6 @@ DECODE_VALUES = (
 )
 
 
-def _member_paths(value, prefix=()):
-    """The path of every member and list item under ``value``, parents first."""
-    items = value.items() if isinstance(value, dict) else \
-        enumerate(value) if isinstance(value, list) else ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _member_paths(child, prefix + (key,))
-
-
 def test_decode_outcomes_are_pinned():
     # SHA-256 over the outcome of decoding sampled config documents with one to
     # three members replaced, deleted or added: the re-encoded config, or the
@@ -299,22 +290,7 @@ def test_decode_outcomes_are_pinned():
             text = encode_config(sample_config(library.get(name), seed))
             for _ in range(4):
                 doc = json.loads(text)
-                for _ in range(int(rng.integers(1, 4))):
-                    paths = list(_member_paths(doc))
-                    *head, key = paths[int(rng.integers(len(paths)))]
-                    parent = doc
-                    for step in head:
-                        parent = parent[step]
-                    value = copy.deepcopy(DECODE_VALUES[int(rng.integers(len(DECODE_VALUES)))])
-                    action = int(rng.integers(3))
-                    if action == 0:
-                        parent[key] = value
-                    elif action == 1:
-                        del parent[key]
-                    elif isinstance(parent, dict):
-                        parent[f"extra_{key}"] = value
-                    else:
-                        parent.insert(key, value)
+                mutate_members(doc, rng, DECODE_VALUES)
                 try:
                     outcome = encode_config(decode_config(json.dumps(doc), "mutant.json"))
                 except FormatError as exc:
