@@ -146,18 +146,6 @@ class PinholeCamera:
                             axis=1)
         return k @ rt
 
-    @property
-    def right(self) -> np.ndarray:
-        return self.rotation[0]
-
-    @property
-    def up(self) -> np.ndarray:
-        return -self.rotation[1]
-
-    @property
-    def forward(self) -> np.ndarray:
-        return self.rotation[2]
-
 
 @dataclass(frozen=True)
 class CameraTrajectory:
@@ -416,7 +404,7 @@ def trajectory_from_json(doc: dict, source: str) -> CameraTrajectory:
     arrays = []
     for stage, (key, size) in enumerate((("position", 3), ("rotation", 9)), 1):
         arr, count, error = jsondoc._leading_arrays(read, key, (size,))
-        arrays.append(arr.reshape(-1, size))
+        arrays.append(arr)
         if error is not None:
             faults.append((count, stage, error))
     end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(records), 0, None))

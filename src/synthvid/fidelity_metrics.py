@@ -71,6 +71,9 @@ class Track:
     true_point: np.ndarray | None = None
 
     def __post_init__(self):
+        if type(self.point_id) is bool or not isinstance(self.point_id, (int, np.integer)):
+            raise ValueError(f"point_id: expected an integer, got {self.point_id!r}")
+        object.__setattr__(self, "point_id", int(self.point_id))
         frames = np.asarray(self.frames, dtype=int)
         pixels = np.asarray(self.pixels, dtype=float).reshape(len(frames), 2)
         if len(frames) < 2:
@@ -100,8 +103,9 @@ class FeatureTrackSet:
     def __post_init__(self):
         for key in ("width", "height"):
             size = getattr(self, key)
-            if not (isinstance(size, (int, np.integer)) and size >= 1):
+            if type(size) is bool or not (isinstance(size, (int, np.integer)) and size >= 1):
                 raise ValueError(f"{key}: expected an integer >= 1, got {size!r}")
+            object.__setattr__(self, key, int(size))
         n_cameras = len(self.cameras)
         first = {}
         for i, track in enumerate(self.tracks):
@@ -394,12 +398,10 @@ def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTra
     """
     doc = jsondoc.loads(text, source).object(
         ("schema", "width", "height", "cameras", "focus_history", "tracks")).schema()
-    width, height = doc["width"].integer(), doc["height"].integer()
-    for key, size in (("width", width), ("height", height)):
-        if size < 1:
-            raise doc[key].error(f"expected an integer >= 1, got {size}")
+    for key in ("width", "height"):
+        if doc[key].integer() < 1:
+            raise doc[key].error(f"expected an integer >= 1, got {doc.value[key]}")
     cameras = trajectory_from_json(doc.value, source)
-    n_cameras = len(cameras)
     items = doc["tracks"].elements()
     # Faults are (track, stage, error), and the least is reported.  A track's
     # stages are the order of its checks: keys 0, observations 1, frame range
@@ -426,28 +428,26 @@ def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTra
         faults.append((count, 1, error))
     ends = list(accumulate(len(t.value["observations"]) for t in read[:count]))
     frames = obs[:, 0]
-    bad = np.flatnonzero(~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames)))
+    bad = np.flatnonzero(~((frames >= 0) & (frames < len(cameras)) & (np.floor(frames) == frames)))
     if len(bad):
         k = bisect_right(ends, bad[0])
         faults.append((k, 2, read[k]["observations"].error(
-            f"frame index {frames[bad[0]]:g} is not an integer in [0, {n_cameras})")))
+            f"frame index {frames[bad[0]]:g} is not an integer in [0, {len(cameras)})")))
 
     pointed = [k for k, t in enumerate(read) if t.value.get("true_point") is not None]
     points, count, error = jsondoc._leading_arrays([read[k] for k in pointed], "true_point", (3,))
     if error is not None:
         faults.append((pointed[count], 4, error))
-    points = iter(points.reshape(-1, 3))
+    true_points = dict(zip(pointed, points))
 
     end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(items), 0, None))
     bounds = [0, *ends[:end]]   # the rows of each track before the first fault
     frames = frames[:bounds[-1]].astype(int)
-    tracks = tuple(
-        t.make(Track, point_id, frames[a:b], obs[a:b, 1:],
-               None if t.value.get("true_point") is None else next(points))
-        for t, point_id, a, b in zip(items, point_ids, bounds, bounds[1:]))
+    tracks = tuple(items[k].make(Track, point_id, frames[a:b], obs[a:b, 1:], true_points.get(k))
+                   for k, (point_id, a, b) in enumerate(zip(point_ids, bounds, bounds[1:])))
     if error is not None:
         raise error
-    return FeatureTrackSet(tracks=tracks, cameras=cameras, width=width, height=height)
+    return FeatureTrackSet(tracks, cameras, doc.value["width"], doc.value["height"])
 
 
 def write_tracks(track_set: FeatureTrackSet, path) -> None:

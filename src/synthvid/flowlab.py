@@ -16,8 +16,8 @@ gradient into a view of one vector laid out like ``VelocityModel.flat``.
 Each ``train`` call allocates that gradient vector and the (batch, in_dim)
 input block once and reuses them for every step; the momentum and EMA
 updates run on the same vector.  Condition labels are checked where they
-enter: ``velocity`` and ``flow_match_loss`` check theirs, and ``train``
-checks the dataset's labels once, so the per-step input builder does not.
+enter: ``velocity`` checks its own, and ``train`` checks the dataset's
+labels once, so the per-step input builder does not.
 
 The 3D "transfer" construction used by the guidance experiments: real data
 lives on the upper half of the unit circle with a small-noise z near 0;
@@ -48,7 +48,6 @@ __all__ = [
     "ToyDataset",
     "TrainConfig",
     "VelocityModel",
-    "flow_match_loss",
     "integrate",
     "load_checkpoint",
     "save_checkpoint",
@@ -250,25 +249,6 @@ def _loss_and_grads(model: VelocityModel, x0, x1, t, labels, inputs, grads) -> f
     residual /= batch
     model._backward(cache, residual, grads)
     return loss
-
-
-def flow_match_loss(model: VelocityModel, x0, x1, t: float, cond):
-    """Squared flow-matching loss for a single (x0, x1, t, cond) draw.
-
-    Returns ``(loss, grads)`` where grads align with ``model.params()`` and
-    come from exact backpropagation.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    if x0.shape != x1.shape or x0.shape[1] != model.data_dim:
-        raise ValueError("x0/x1 shape mismatch with model data_dim")
-    batch = len(x0)
-    grads = model._views(np.empty_like(model.flat))
-    loss = _loss_and_grads(model, x0, x1, np.full(batch, float(t)), model._labels(cond, batch),
-                           np.empty((batch, model.w1.shape[0])), grads)
-    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 knows its document's source (usually a file name) and its own field path.
 Its typed getters check one value each.  A malformed document raises
 :class:`FormatError` with the message ``<source>: <field path>: <problem>``;
-a syntax error names its line and column instead of a field.  Numbers must
-be finite, and :meth:`Field.object` rejects keys it was not told about.
+a syntax error names its line and column instead of a field.  A number is
+an int or a float, never ``true`` or ``false``, and finite as a float; an
+array applies that rule to each element.  :meth:`Field.object` rejects keys
+it was not told about.
 
 :func:`dumps` writes the indented file form, :func:`dumps_line` one compact
 line, and :func:`dumps_rows` the file form of a large object: one compact
@@ -15,7 +17,7 @@ line per member and per item of a list member, written by the C encoder.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from itertools import chain
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 __all__ = ["Field", "FormatError", "SCHEMA_VERSION", "dumps", "dumps_line", "dumps_rows", "loads"]
 
 SCHEMA_VERSION = 1
+_NUMBER_TYPES = {int, float}   # a bool is an int subclass, not a number
 
 
 class FormatError(ValueError):
@@ -65,42 +68,44 @@ def dumps_rows(doc: dict) -> str:
     return "{" + ",".join(members) + "\n}\n"
 
 
+def _numbers(values, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as a float64 array of ``shape``, where -1 matches any length,
+    or None unless each element is a number by :meth:`Field.number`'s rule."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, or past the float range
+        return None
+    if arr.shape == (0,):
+        arr = arr.reshape((0,) + shape[1:])
+    if (arr.ndim != len(shape) or any(n not in (-1, m) for n, m in zip(shape, arr.shape))
+            or not np.isfinite(arr).all()):
+        return None
+    for _ in shape[1:]:
+        values = chain.from_iterable(values)
+    return arr if set(map(type, values)) <= _NUMBER_TYPES else None
+
+
 def _leading_arrays(records: list["Field"], key: str, shape: tuple[int, ...]):
     """Member ``key`` of each of ``records`` (objects holding it) read as by
-    ``record[key].array(shape)``, in one pass where that is exact.
+    ``record[key].array(shape)``, in one array check.
 
     ``shape`` is ``(k,)`` or ``(-1, k)``.  Returns ``(joined, count, error)``:
-    the arrays of the first ``count`` records concatenated along their first
-    axis, and the error of record ``count``, the first that fails (None when
-    none does).  One numpy array holds all the values when they are only
-    floats and integers within int64.  Otherwise the records are read one by
-    one, because numpy types each array from its own values alone: a boolean
-    passes beside numbers but not on its own, and an integer past int64
-    passes beside floats but not beside integers.
+    the arrays of the first ``count`` records as one ``(n, k)`` array, and the
+    error of record ``count``, the first that fails (None when none does).
+    Only a failed check reads the records one by one, to find that record;
+    the check fails only when some record's own check does.
     """
-    inner = shape[1:] if shape[0] == -1 else shape
-    rows = [record.value[key] for record in records]
+    values = [record.value[key] for record in records]
     if shape[0] == -1:
-        rows = list(chain.from_iterable(rows)) if all(type(v) is list for v in rows) else None
-    if rows is not None:
+        values = list(chain.from_iterable(values)) if all(type(v) is list for v in values) else None
+    arr = None if values is None else _numbers(values, (-1,) + shape[-1:])
+    if arr is not None:
+        return arr, len(records), None
+    for count, record in enumerate(records):
         try:
-            arr = np.array(rows) if rows else np.empty((0,) + inner)
-        except ValueError:  # ragged nesting
-            arr = None
-        if (arr is not None and arr.shape == (len(rows),) + inner and arr.dtype.kind in "if"
-                and np.isfinite(arr).all()):
-            types = set(map(type, chain.from_iterable(rows)))
-            if types <= {int, float} and (int not in types or np.abs(arr).max() < 2.0 ** 63):
-                return arr.astype(float, copy=False).reshape((-1,) + shape[1:]), len(records), None
-    parts, error = [], None
-    for record in records:
-        try:
-            parts.append(record[key].array(shape))
+            record[key].array(shape)
         except FormatError as exc:
-            error = exc
-            break
-    joined = np.concatenate(parts) if parts else np.empty((0,) + shape[1:])
-    return joined, len(parts), error
+            return _leading_arrays(records[:count], key, shape)[0], count, exc
 
 
 class Field:
@@ -181,33 +186,27 @@ class Field:
         return tuple(item.number() for item in self.elements(n))
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float64 array of ``shape``, where -1 matches any length.
-
-        Dtype, shape and finiteness are checked on the whole array, so a long
-        array costs no Python loop.
-        """
-        try:
-            arr = np.asarray(self.value)
-        except ValueError:  # ragged nesting
-            arr = np.asarray(None)
-        if arr.shape == (0,) and len(shape) > 1:
-            arr = arr.reshape((0,) + shape[1:])
-        if (arr.dtype.kind not in "iuf" or arr.ndim != len(shape)
-                or any(n not in (-1, m) for n, m in zip(shape, arr.shape))
-                or not np.isfinite(arr).all()):
+        """A float64 array of ``shape``, where -1 matches any length, each of
+        whose elements is a number by :meth:`number`'s rule."""
+        arr = _numbers(self.value, shape)
+        if arr is None:
             dims = " x ".join("n" if n < 0 else str(n) for n in shape)
             raise self.error(f"expected a {dims} array of numbers")
-        return arr.astype(float, copy=False)
+        return arr
 
     # -- scalars --
 
     def number(self) -> float:
-        """A finite number, integer or float, as a float."""
-        if type(self.value) not in (int, float):
+        """The value as a float; it must be an int or a float, not a bool, and finite as a float."""
+        if type(self.value) not in _NUMBER_TYPES:
             raise self.error("expected a number")
-        if not abs(self.value) <= sys.float_info.max:
+        try:
+            number = float(self.value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+        if not math.isfinite(number):
             raise self.error("expected a finite number")
-        return float(self.value)
+        return number
 
     def integer(self) -> int:
         if type(self.value) is not int:

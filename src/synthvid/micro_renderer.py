@@ -19,7 +19,6 @@ kept in ``tests/reference_rasterizer.py`` as the reference.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -44,7 +43,6 @@ __all__ = [
     "Frame",
     "animate_mesh",
     "emit_engine_script",
-    "frame_sha256",
     "read_ppm",
     "render_frame",
     "render_video",
@@ -377,13 +375,6 @@ def read_ppm(path) -> Frame:
     if pixels.size != width * height * 3:
         raise ValueError(f"{path}: truncated pixel data")
     return Frame(width=width, height=height, pixels=pixels.reshape(height, width, 3))
-
-
-def frame_sha256(frame: Frame) -> str:
-    h = hashlib.sha256()
-    h.update(f"{frame.width}x{frame.height}".encode("ascii"))
-    h.update(frame.pixels.tobytes())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ from synthvid.scene_config import (
     SceneConfig,
     SceneType,
 )
+
+
+def frame_sha256(frame) -> str:
+    """SHA-256 of a frame: its size as ASCII ``<width>x<height>``, then its RGB bytes."""
+    h = hashlib.sha256()
+    h.update(f"{frame.width}x{frame.height}".encode("ascii"))
+    h.update(frame.pixels.tobytes())
+    return h.hexdigest()
 
 
 def make_config(**overrides) -> SceneConfig:

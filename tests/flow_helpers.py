@@ -1,9 +1,29 @@
-"""Toy-flow evaluation helpers that only the tests use: a Gaussian-mixture
-dataset and the energy distance between two samples."""
+"""Toy-flow helpers that only the tests use: the loss and gradients of one
+draw, a Gaussian-mixture dataset and the energy distance between two samples."""
 
 import numpy as np
 
-from synthvid.flowlab import ToyDataset
+from synthvid.flowlab import ToyDataset, VelocityModel, _loss_and_grads
+
+
+def flow_match_loss(model: VelocityModel, x0, x1, t: float, cond):
+    """Squared flow-matching loss for a single (x0, x1, t, cond) draw.
+
+    Returns ``(loss, grads)`` where grads align with ``model.params()`` and
+    come from the package's own backward pass, ``flowlab._loss_and_grads``,
+    the one ``train`` steps with.
+    """
+    if not (0.0 <= t <= 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x1 = np.atleast_2d(np.asarray(x1, dtype=float))
+    if x0.shape != x1.shape or x0.shape[1] != model.data_dim:
+        raise ValueError("x0/x1 shape mismatch with model data_dim")
+    batch = len(x0)
+    grads = model._views(np.empty_like(model.flat))
+    loss = _loss_and_grads(model, x0, x1, np.full(batch, float(t)), model._labels(cond, batch),
+                           np.empty((batch, model.w1.shape[0])), grads)
+    return loss, grads
 
 
 def gaussian_mixture_dataset(n: int, seed: int,

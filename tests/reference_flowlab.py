@@ -5,7 +5,8 @@ gradients into views of one flat vector and reuses its buffers across a
 ``train`` call.  These functions build every intermediate as a fresh array,
 the lab's original design: a one-hot input block from ``broadcast_to`` and
 ``concatenate``, ``tanh(x @ w + b)`` per layer, one array per gradient and a
-momentum step over their concatenation.  ``train``, ``flow_match_loss`` and
+momentum step over their concatenation.  ``train``, the loss and gradients
+of ``flowlab._loss_and_grads`` (through ``flow_helpers.flow_match_loss``) and
 guided sampling must equal theirs bit for bit.
 """
 

@@ -28,7 +28,7 @@ from synthvid.guidance import (
     train_transfer_models,
 )
 from synthvid.meshes import bounding_sphere, cube, uv_sphere
-from synthvid.micro_renderer import frame_sha256, render_frame
+from synthvid.micro_renderer import render_frame
 from synthvid.scene_config import (
     CameraSpec,
     EnvSpec,
@@ -44,8 +44,8 @@ from synthvid.scene_config import (
 )
 from synthvid.seeding import stream_seed
 
-from conftest import make_config
-from flow_helpers import energy_distance, gaussian_mixture_dataset
+from conftest import frame_sha256, make_config
+from flow_helpers import energy_distance, flow_match_loss, gaussian_mixture_dataset
 
 
 def criterion(number, name, budget_seconds):
@@ -112,16 +112,16 @@ def test_criterion_2_gradients_vs_finite_differences():
         x1 = rng.standard_normal(data_dim)
         t = float(rng.uniform(0.05, 0.95))
         cond = None if trial % 3 == 0 else int(rng.integers(cond_dim))
-        _, grads = flowlab.flow_match_loss(model, x0, x1, t, cond)
+        _, grads = flow_match_loss(model, x0, x1, t, cond)
         h = 1e-4
         for p_idx, p in enumerate(model.params()):
             flat = p.ravel()
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                lp, _ = flowlab.flow_match_loss(model, x0, x1, t, cond)
+                lp, _ = flow_match_loss(model, x0, x1, t, cond)
                 flat[j] = orig - h
-                lm, _ = flowlab.flow_match_loss(model, x0, x1, t, cond)
+                lm, _ = flow_match_loss(model, x0, x1, t, cond)
                 flat[j] = orig
                 fd = (lp - lm) / (2.0 * h)
                 g = grads[p_idx].ravel()[j]

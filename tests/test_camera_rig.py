@@ -141,9 +141,10 @@ def test_tilt_rotates_about_right_axis():
     traj = _trajectory(movement_type=MovementType.TILT, movement_value=30.0,
                        focus_type=FocusType.FIXED, n_frames=7)
     first, last = traj.frames[0], traj.frames[-1]
-    # right axis invariant, view direction swept by the full angle
-    assert np.allclose(first.right, last.right, atol=1e-9)
-    swept = math.degrees(math.acos(np.clip(first.forward @ last.forward, -1.0, 1.0)))
+    # right axis (rotation row 0) invariant, view direction (row 2) swept by
+    # the full angle
+    assert np.allclose(first.rotation[0], last.rotation[0], atol=1e-9)
+    swept = math.degrees(math.acos(np.clip(first.rotation[2] @ last.rotation[2], -1.0, 1.0)))
     assert swept == pytest.approx(30.0, abs=1e-6)
     assert np.allclose(first.position, last.position)
 
@@ -152,8 +153,9 @@ def test_pan_rotates_about_up_axis():
     traj = _trajectory(movement_type=MovementType.PAN, movement_value=45.0,
                        focus_type=FocusType.FIXED, n_frames=7)
     first, last = traj.frames[0], traj.frames[-1]
-    assert np.allclose(first.up, last.up, atol=1e-9)
-    swept = math.degrees(math.acos(np.clip(first.forward @ last.forward, -1.0, 1.0)))
+    # up axis (minus rotation row 1) invariant, view direction swept
+    assert np.allclose(-first.rotation[1], -last.rotation[1], atol=1e-9)
+    swept = math.degrees(math.acos(np.clip(first.rotation[2] @ last.rotation[2], -1.0, 1.0)))
     assert swept == pytest.approx(45.0, abs=1e-6)
 
 

@@ -300,6 +300,23 @@ def test_empty_track_set_round_trips():
     assert tracks_to_json(tracks_from_json(text)) == text
 
 
+def test_track_set_stores_plain_ints():
+    # a numpy integer is converted, so every set that builds can be written;
+    # a bool is an int subclass but no size or point id
+    traj = _trajectory(MovementType.SPIN, 180.0, n_frames=4)
+    track = _exact_track(traj, np.array([0.2, 0.3, -0.1]), [0, 1, 2], point_id=np.int64(3))
+    track_set = FeatureTrackSet((track,), traj, np.int64(64), H)
+    assert type(track.point_id) is int and type(track_set.width) is int
+    loaded = tracks_from_json(tracks_to_json(track_set))
+    _assert_same_set(loaded, track_set)
+    assert (loaded.width, loaded.tracks[0].point_id) == (64, 3)
+    with pytest.raises(ValueError, match=r"^width: expected an integer >= 1, got True$"):
+        FeatureTrackSet((track,), traj, True, H)
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match=rf"^point_id: expected an integer, got {bad!r}$"):
+            dataclasses.replace(track, point_id=bad)
+
+
 def _track_doc():
     traj = _trajectory(MovementType.SPIN, 90.0, n_frames=6)
     return json.loads(tracks_to_json(generate_tracks(SPHERE, traj, W, H, 0.0, seed=1)))
@@ -463,7 +480,7 @@ def test_track_decode_outcomes_are_pinned():
     h = hashlib.sha256()
     for text in _mutated_track_docs(4000, seed=29):
         h.update(_track_decode_outcome(text).encode())
-    assert h.hexdigest() == "6d35be2f4b49c509f87f9a88bd459846024f2aae4dab2da8a831eae366262431"
+    assert h.hexdigest() == "dd983dacc127450bd41125060eb413e6a74b6bc6d34345f52cbf367b37b27ee4"
 
 
 def test_track_set_rejects_a_repeated_or_negative_point_id(tmp_path):

@@ -12,7 +12,6 @@ from synthvid.flowlab import (
     ToyDataset,
     TrainConfig,
     VelocityModel,
-    flow_match_loss,
     integrate,
     load_checkpoint,
     save_checkpoint,
@@ -24,7 +23,7 @@ from synthvid.flowlab import (
 from synthvid.jsondoc import FormatError
 
 import reference_flowlab
-from flow_helpers import energy_distance, gaussian_mixture_dataset
+from flow_helpers import energy_distance, flow_match_loss, gaussian_mixture_dataset
 
 
 def tiny_model(seed=0, data_dim=2, cond_dim=2, hidden=8):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, configuration, given, settings
+from hypothesis import assume, configuration, example, given, settings
 from hypothesis import strategies as st
 
 from synthvid import jsondoc
@@ -121,16 +121,75 @@ def test_array_converts_a_good_array():
     arr = jsondoc.Field([[1, 2, 3], [4.5, 5, 6]], "f.json", "obs").array((-1, 3))
     assert arr.dtype == np.float64 and arr.tolist() == [[1, 2, 3], [4.5, 5, 6]]
     assert jsondoc.Field([], "f.json", "obs").array((-1, 3)).shape == (0, 3)
+    # an integer past int64 is a number, as Field.number reads it
+    big = jsondoc.Field([[1, 2 ** 70, 3]], "f.json", "obs").array((-1, 3))
+    assert big.tolist() == [[1.0, 1.1805916207174113e+21, 3.0]]
+    assert big[0, 1] == jsondoc.Field(2 ** 70, "f.json", "x").number()
 
 
 @pytest.mark.parametrize("value", [
     [[1, 2, 3], [4, 5]], [[1, 2, 3, 4]], [1, 2, 3], [["1", 2, 3]], [[1, None, 3]],
-    [[1, math.nan, 3]], [[1, math.inf, 3]], [[1, 2 ** 70, 3]], [[True, False, True]],
+    [[1, math.nan, 3]], [[1, math.inf, 3]], [[True, False, True]], [[True, 1.0, 2.0]],
     {"a": 1}, "123",
 ])
 def test_array_rejects_bad_shape_dtype_or_values(value):
     with pytest.raises(FormatError, match=r"^f\.json: obs: expected a n x 3 array of numbers$"):
         jsondoc.Field(value, "f.json", "obs").array((-1, 3))
+
+
+def _number_or_none(value):
+    try:
+        return jsondoc.Field(value, "f.json", "x").number()
+    except FormatError:
+        return None
+
+
+ELEMENTS = st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(ELEMENTS, max_size=6))
+@example([True, 1.0, 2.0])
+@example([1, 2 ** 70, 2])
+@example([2 ** 1024 - 2 ** 970 - 1])   # the largest int that float() takes: the float maximum
+@example([-(2 ** 1024 - 2 ** 970)])    # the least one it overflows on
+def test_array_applies_the_number_rule_to_each_element(values):
+    numbers = [_number_or_none(x) for x in values]
+    try:
+        arr = jsondoc.Field(values, "f.json", "obs").array((len(values),))
+    except FormatError:
+        assert None in numbers
+    else:
+        assert None not in numbers
+        assert arr.tobytes() == np.array(numbers, dtype=float).tobytes()
+
+
+NUMBERS = st.integers(-2, 2) | st.floats(-2, 2) | st.just(2 ** 70)
+ROWS = (st.lists(NUMBERS, min_size=3, max_size=3)
+        | st.lists(NUMBERS | st.sampled_from([True, None, "1"]), min_size=2, max_size=4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data(), st.sampled_from([(-1, 3), (3,)]))
+def test_leading_arrays_read_as_each_record_does(data, shape):
+    # the joined check passes exactly when every record's own check does;
+    # otherwise the first record that fails is found and reported
+    values = data.draw(st.lists(st.lists(ROWS, max_size=3) if shape[0] == -1 else ROWS,
+                                max_size=4))
+    if values and data.draw(st.booleans()):
+        values[data.draw(st.integers(0, len(values) - 1))] = None   # a record that is no list
+    records = [jsondoc.Field({"v": v}, "f.json", f"r[{i}]") for i, v in enumerate(values)]
+    joined, count, error = jsondoc._leading_arrays(records, "v", shape)
+    parts, want = [], None
+    for record in records:
+        try:
+            parts.append(record["v"].array(shape).reshape(-1, 3))
+        except FormatError as exc:
+            want = str(exc)
+            break
+    assert (count, None if error is None else str(error)) == (len(parts), want)
+    assert joined.shape[1:] == (3,)
+    assert joined.tobytes() == b"".join(part.tobytes() for part in parts)
 
 
 def test_writers_keep_their_two_forms():

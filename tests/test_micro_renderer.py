@@ -6,7 +6,6 @@ from synthvid.meshes import Mesh, cube, load_obj, uv_sphere
 from synthvid.micro_renderer import (
     Frame,
     emit_engine_script,
-    frame_sha256,
     read_ppm,
     render_frame,
     render_video,
@@ -24,7 +23,7 @@ from synthvid.scene_config import (
     SceneType,
 )
 
-from conftest import make_config
+from conftest import frame_sha256, make_config
 
 W, H = 64, 48
 

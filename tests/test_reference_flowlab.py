@@ -7,13 +7,13 @@ from synthvid.flowlab import (
     TOY_COND_DIM,
     TrainConfig,
     VelocityModel,
-    flow_match_loss,
     toy_mixed_dataset,
     train,
 )
 from synthvid.guidance import ANGLE_BINS, default_guidance_params, run_simdrop_experiment
 
 import reference_flowlab as ref
+from flow_helpers import flow_match_loss
 
 
 def toy_model(seed, hidden=16):
