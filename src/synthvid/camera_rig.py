@@ -374,45 +374,31 @@ def trajectory_to_json(traj: CameraTrajectory) -> dict:
     }
 
 
+def _cameras(records: list[jsondoc.Field]) -> tuple[PinholeCamera, ...]:
+    """The cameras of ``records``.  A record's checks run in this order: keys,
+    position, rotation, ``focal_mm``, ``sensor_height_mm``, then
+    :class:`PinholeCamera`; each runs over all the records at once."""
+    for rec in records:
+        rec.object(("rotation", "position", "focal_mm", "sensor_height_mm"))
+    positions = jsondoc.column(records, "position", (3,))
+    rotations = jsondoc.column(records, "rotation", (9,)).reshape(-1, 3, 3)
+    focals = [rec["focal_mm"].number() for rec in records]
+    sensors = [rec["sensor_height_mm"].number() for rec in records]
+    return tuple(rec.make(PinholeCamera, position=position, rotation=rotation,
+                          focal_mm=focal, sensor_height_mm=sensor)
+                 for rec, position, rotation, focal, sensor
+                 in zip(records, positions, rotations, focals, sensors))
+
+
 def trajectory_from_json(doc: dict, source: str) -> CameraTrajectory:
     """Inverse of :func:`trajectory_to_json`; other keys of ``doc`` are ignored.
 
     A missing, mistyped or invalid field raises
     :class:`~synthvid.jsondoc.FormatError` naming ``source`` and the field path;
-    with several faults, the first in document order.  Keys and numbers are
-    checked record by record, and each array field of all the records at once.
+    with several faults, the first in document order.  Each field is checked
+    in all the camera records at once.
     """
     root = jsondoc.Field(doc, source)
-    records = root["cameras"].elements()
-    # Faults are (record, stage, error), and the least is reported.  A
-    # record's stages are the order of its checks: keys 0, position 1,
-    # rotation 2, focal_mm 3, sensor_height_mm 4; PinholeCamera checks the
-    # values last, as the records before the first fault are built.
-    focals, sensors, faults = [], [], []
-    for i, rec in enumerate(records):
-        stage = 0
-        try:
-            rec.object(("rotation", "position", "focal_mm", "sensor_height_mm"))
-            stage = 3
-            focals.append(rec["focal_mm"].number())
-            stage = 4
-            sensors.append(rec["sensor_height_mm"].number())
-        except jsondoc.FormatError as exc:
-            faults.append((i, stage, exc))
-            break
-    read = records[:faults[0][0] + (faults[0][1] > 0)] if faults else records
-    arrays = []
-    for stage, (key, size) in enumerate((("position", 3), ("rotation", 9)), 1):
-        arr, count, error = jsondoc._leading_arrays(read, key, (size,))
-        arrays.append(arr)
-        if error is not None:
-            faults.append((count, stage, error))
-    end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(records), 0, None))
-    frames = tuple(rec.make(PinholeCamera, position=position, rotation=rotation.reshape(3, 3),
-                            focal_mm=focal, sensor_height_mm=sensor)
-                   for rec, position, rotation, focal, sensor
-                   in zip(records[:end], *arrays, focals, sensors))
-    if error is not None:
-        raise error
+    frames = jsondoc.in_document_order(_cameras, root["cameras"].elements())
     history = root["focus_history"].array((len(frames), 3))
     return CameraTrajectory(frames=frames, focus_history=history)

@@ -145,8 +145,9 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
     length): a 360-degree spin ends on its first pose, and a vertex seen only
     in those two frames would be a track with nothing to triangulate from.
     """
-    if pixel_noise_sigma < 0.0:
-        raise ValueError("pixel_noise_sigma must be nonnegative")
+    if not 0.0 <= pixel_noise_sigma < np.inf:   # false for NaN
+        raise ValueError(f"pixel_noise_sigma: expected a finite number >= 0, "
+                         f"got {pixel_noise_sigma}")
     verts = mesh.vertices
     n_verts = len(verts)
     n_frames = len(trajectory.frames)
@@ -384,6 +385,33 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
     return jsondoc.dumps_rows(doc)
 
 
+def _tracks(items: list[jsondoc.Field], n_cameras: int) -> tuple[Track, ...]:
+    """The tracks of ``items``, observing ``n_cameras`` cameras.  A track's
+    checks run in this order: keys, observations, frame range, point id,
+    true point, then :class:`Track`; each runs over all the tracks at once."""
+    for t in items:
+        t.object(("point_id", "observations"), ("true_point",))
+    obs = jsondoc.column(items, "observations", (-1, 3))
+    bounds = [0, *accumulate(len(t.value["observations"]) for t in items)]
+    frames = obs[:, 0]
+    bad = np.flatnonzero(~((frames >= 0) & (frames < n_cameras) & (np.floor(frames) == frames)))
+    if len(bad):
+        raise items[bisect_right(bounds, bad[0]) - 1]["observations"].error(
+            f"frame index {frames[bad[0]]:g} is not an integer in [0, {n_cameras})")
+    point_ids, first = [t["point_id"].integer() for t in items], {}
+    for i, (t, point_id) in enumerate(zip(items, point_ids)):
+        problem = _point_id_problem(point_id, i, first.setdefault(point_id, i))
+        if problem:
+            raise t["point_id"].error(problem)
+    pointed = [k for k, t in enumerate(items) if t.value.get("true_point") is not None]
+    points = jsondoc.column([items[k] for k in pointed], "true_point", (3,))
+    true_points = dict(zip(pointed, points))
+    frames = frames.astype(int)
+    return tuple(t.make(Track, point_id, frames[a:b], obs[a:b, 1:], true_points.get(k))
+                 for k, (t, point_id, a, b)
+                 in enumerate(zip(items, point_ids, bounds, bounds[1:])))
+
+
 def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTrackSet:
     """Parse a schema-1 track set read from ``source``.
 
@@ -392,9 +420,8 @@ def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTra
     or repeated ``point_id`` and a ``focus_history`` whose length differs
     from the camera count raise :class:`~synthvid.jsondoc.FormatError` naming
     ``source`` and the field path; with several faults, the first in
-    document order.  Keys and point ids are checked track by track; the
-    observations of all tracks are checked as one (n, 3) array, and the
-    true points as another.
+    document order.  Each field is checked in all the tracks at once: the
+    observations as one (n, 3) array, and the true points as another.
     """
     doc = jsondoc.loads(text, source).object(
         ("schema", "width", "height", "cameras", "focus_history", "tracks")).schema()
@@ -402,51 +429,8 @@ def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTra
         if doc[key].integer() < 1:
             raise doc[key].error(f"expected an integer >= 1, got {doc.value[key]}")
     cameras = trajectory_from_json(doc.value, source)
-    items = doc["tracks"].elements()
-    # Faults are (track, stage, error), and the least is reported.  A track's
-    # stages are the order of its checks: keys 0, observations 1, frame range
-    # 2, point id 3, true point 4; its length and frame order are checked
-    # last, by Track, as the tracks before the first fault are built.
-    point_ids, first, faults = [], {}, []
-    for i, t in enumerate(items):
-        stage = 0
-        try:
-            t.object(("point_id", "observations"), ("true_point",))
-            stage = 3
-            point_id = t["point_id"].integer()
-            problem = _point_id_problem(point_id, i, first.setdefault(point_id, i))
-            if problem:
-                raise t["point_id"].error(problem)
-        except jsondoc.FormatError as exc:
-            faults.append((i, stage, exc))
-            break
-        point_ids.append(point_id)
-    read = items[:faults[0][0] + (faults[0][1] > 0)] if faults else items
-
-    obs, count, error = jsondoc._leading_arrays(read, "observations", (-1, 3))
-    if error is not None:
-        faults.append((count, 1, error))
-    ends = list(accumulate(len(t.value["observations"]) for t in read[:count]))
-    frames = obs[:, 0]
-    bad = np.flatnonzero(~((frames >= 0) & (frames < len(cameras)) & (np.floor(frames) == frames)))
-    if len(bad):
-        k = bisect_right(ends, bad[0])
-        faults.append((k, 2, read[k]["observations"].error(
-            f"frame index {frames[bad[0]]:g} is not an integer in [0, {len(cameras)})")))
-
-    pointed = [k for k, t in enumerate(read) if t.value.get("true_point") is not None]
-    points, count, error = jsondoc._leading_arrays([read[k] for k in pointed], "true_point", (3,))
-    if error is not None:
-        faults.append((pointed[count], 4, error))
-    true_points = dict(zip(pointed, points))
-
-    end, _, error = min(faults, key=lambda fault: fault[:2], default=(len(items), 0, None))
-    bounds = [0, *ends[:end]]   # the rows of each track before the first fault
-    frames = frames[:bounds[-1]].astype(int)
-    tracks = tuple(items[k].make(Track, point_id, frames[a:b], obs[a:b, 1:], true_points.get(k))
-                   for k, (point_id, a, b) in enumerate(zip(point_ids, bounds, bounds[1:])))
-    if error is not None:
-        raise error
+    tracks = jsondoc.in_document_order(lambda items: _tracks(items, len(cameras)),
+                                       doc["tracks"].elements())
     return FeatureTrackSet(tracks, cameras, doc.value["width"], doc.value["height"])
 
 

@@ -83,8 +83,9 @@ class GuidanceParams:
     n_hat: int | None = None
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("guidance weights must be nonnegative")
+        for name, weight in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0.0 <= weight < np.inf:   # false for NaN
+                raise ValueError(f"{name}: expected a finite guidance weight >= 0, got {weight}")
 
 
 def default_guidance_params(alpha: float, beta: float = DEFAULT_BETA) -> GuidanceParams:

@@ -9,6 +9,11 @@ an int or a float, never ``true`` or ``false``, and finite as a float; an
 array applies that rule to each element.  :meth:`Field.object` rejects keys
 it was not told about.
 
+A list of records is read in bulk: :func:`column` checks one array member
+of every record at once, and :func:`in_document_order` reports the first
+fault in document order, given a reader that rejects a list exactly when it
+rejects some prefix of it.
+
 :func:`dumps` writes the indented file form, :func:`dumps_line` one compact
 line, and :func:`dumps_rows` the file form of a large object: one compact
 line per member and per item of a list member, written by the C encoder.
@@ -22,7 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = ["Field", "FormatError", "SCHEMA_VERSION", "dumps", "dumps_line", "dumps_rows", "loads"]
+__all__ = ["Field", "FormatError", "SCHEMA_VERSION", "column", "dumps", "dumps_line", "dumps_rows",
+           "in_document_order", "loads"]
 
 SCHEMA_VERSION = 1
 _NUMBER_TYPES = {int, float}   # a bool is an int subclass, not a number
@@ -85,27 +91,46 @@ def _numbers(values, shape: tuple[int, ...]) -> np.ndarray | None:
     return arr if set(map(type, values)) <= _NUMBER_TYPES else None
 
 
-def _leading_arrays(records: list["Field"], key: str, shape: tuple[int, ...]):
-    """Member ``key`` of each of ``records`` (objects holding it) read as by
-    ``record[key].array(shape)``, in one array check.
+def column(records: list["Field"], key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Member ``key`` of each of ``records`` (objects holding it), read as by
+    ``record[key].array(shape)``, joined into one ``(n, k)`` array.
 
-    ``shape`` is ``(k,)`` or ``(-1, k)``.  Returns ``(joined, count, error)``:
-    the arrays of the first ``count`` records as one ``(n, k)`` array, and the
-    error of record ``count``, the first that fails (None when none does).
-    Only a failed check reads the records one by one, to find that record;
-    the check fails only when some record's own check does.
+    ``shape`` is ``(k,)`` or ``(-1, k)``.  The records are checked as one
+    array, which fails only when some record's own check does; only then are
+    they read one by one, to raise the first one's error.
     """
     values = [record.value[key] for record in records]
     if shape[0] == -1:
         values = list(chain.from_iterable(values)) if all(type(v) is list for v in values) else None
     arr = None if values is None else _numbers(values, (-1,) + shape[-1:])
-    if arr is not None:
-        return arr, len(records), None
-    for count, record in enumerate(records):
+    if arr is None:
+        for record in records:
+            record[key].array(shape)   # raises for some record, as the joined check failed
+    return arr
+
+
+def in_document_order(read, records: list):
+    """``read(records)``; when it raises a :class:`FormatError`, the error of
+    the shortest prefix of ``records`` it rejects, found by bisection.
+
+    ``read`` must reject a list exactly when it rejects some prefix of it.
+    In the shortest rejected prefix only the last record is faulty, so its
+    error is the first fault in document order, whatever the order in which
+    ``read`` runs its checks over all the records.
+    """
+    try:
+        return read(records)
+    except FormatError as exc:
+        error = exc
+    passed, failed = -1, len(records)   # prefix lengths read accepts and rejects
+    while failed - passed > 1:
+        mid = (passed + failed) // 2
         try:
-            record[key].array(shape)
+            read(records[:mid])
+            passed = mid
         except FormatError as exc:
-            return _leading_arrays(records[:count], key, shape)[0], count, exc
+            failed, error = mid, exc
+    raise error
 
 
 class Field:

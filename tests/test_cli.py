@@ -168,6 +168,20 @@ def test_evaluate_end_to_end(tmp_path, capsys):
     assert report["reproj_error_px"] < 1e-6
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_evaluate_rejects_a_non_finite_noise(tmp_path, capsys, noise):
+    from conftest import make_config
+    from synthvid.scene_config import encode_config
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(encode_config(make_config(n_frames=8)))
+    assert run("evaluate", "--config", str(cfg_path), "--noise", noise) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: pixel_noise_sigma: expected a finite number >= 0, "
+                            f"got {float(noise)}\n")
+
+
 def test_evaluate_tracks_file(tmp_path, capsys):
     from synthvid.camera_rig import generate_trajectory
     from synthvid.fidelity_metrics import generate_tracks, write_tracks

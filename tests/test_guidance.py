@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,13 @@ def test_state_rejects_non_finite():
 def test_negative_weights_rejected():
     with pytest.raises(ValueError):
         GuidanceParams(alpha=-0.1)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_non_finite_weights_rejected_by_name(name, weight):
+    with pytest.raises(ValueError, match=f"^{name}: expected a finite guidance weight"):
+        GuidanceParams(**{name: weight})
 
 
 def test_empty_experiment_flags_undefined_stats():

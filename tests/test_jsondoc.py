@@ -171,15 +171,14 @@ ROWS = (st.lists(NUMBERS, min_size=3, max_size=3)
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.data(), st.sampled_from([(-1, 3), (3,)]))
-def test_leading_arrays_read_as_each_record_does(data, shape):
+def test_column_reads_as_each_record_does(data, shape):
     # the joined check passes exactly when every record's own check does;
-    # otherwise the first record that fails is found and reported
+    # otherwise the first record that fails is found and its error raised
     values = data.draw(st.lists(st.lists(ROWS, max_size=3) if shape[0] == -1 else ROWS,
                                 max_size=4))
     if values and data.draw(st.booleans()):
         values[data.draw(st.integers(0, len(values) - 1))] = None   # a record that is no list
     records = [jsondoc.Field({"v": v}, "f.json", f"r[{i}]") for i, v in enumerate(values)]
-    joined, count, error = jsondoc._leading_arrays(records, "v", shape)
     parts, want = [], None
     for record in records:
         try:
@@ -187,9 +186,33 @@ def test_leading_arrays_read_as_each_record_does(data, shape):
         except FormatError as exc:
             want = str(exc)
             break
-    assert (count, None if error is None else str(error)) == (len(parts), want)
+    if want is not None:
+        with pytest.raises(FormatError) as raised:
+            jsondoc.column(records, "v", shape)
+        assert str(raised.value) == want
+        return
+    joined = jsondoc.column(records, "v", shape)
     assert joined.shape[1:] == (3,)
     assert joined.tobytes() == b"".join(part.tobytes() for part in parts)
+
+
+def _keys_then_values(records):
+    """A toy bulk reader that checks every record's keys before any value."""
+    for record in records:
+        record.object(("v",))
+    return [record["v"].number() for record in records]
+
+
+def test_in_document_order_reports_the_first_faulty_record():
+    values = [{"v": 1}, {"v": "one"}, {"v": 2}, {"w": 3}, {"v": 4}]
+    records = [jsondoc.Field(v, "f.json", f"r[{i}]") for i, v in enumerate(values)]
+    with pytest.raises(FormatError, match=r"r\[3\]"):   # alone, the reader reports record 3
+        _keys_then_values(records)
+    with pytest.raises(FormatError) as raised:
+        jsondoc.in_document_order(_keys_then_values, records)
+    assert str(raised.value) == "f.json: r[1].v: expected a number"
+    good = [jsondoc.Field({"v": v}, "f.json", f"r[{v}]") for v in range(5)]
+    assert jsondoc.in_document_order(_keys_then_values, good) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_writers_keep_their_two_forms():

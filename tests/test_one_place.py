@@ -3,10 +3,11 @@
 The renderer and the track generator must agree on which faces point at the
 camera and where a point lands in the image, every JSON document goes
 through one codec, one set of number types decides what a JSON number is,
-alone or as an array element, and a config field's type and vector axes are
-read from the one field table.  A copy of any of these in another module is
-the start of a second model, so this scan fails when a pattern shows up
-outside its home.
+alone or as an array element, only the codec catches a ``FormatError`` to
+find the first fault in document order, and a config field's type and
+vector axes are read from the one field table.  A copy of any of these in
+another module is the start of a second model, so this scan fails when a
+pattern shows up outside its home.
 """
 
 import re
@@ -20,6 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "synthvid"
 CONCEPTS = {
     "json-import": ("jsondoc.py", r"^\s*(?:import\s+(?:[\w.]+\s*,\s*)*json\b|from\s+json\b)"),
     "json-number-types": ("jsondoc.py", r"\{int, float\}"),
+    "json-first-fault": ("jsondoc.py", r"except (?:jsondoc\.)?FormatError"),
     "face-cross-product": ("meshes.py", r"np\.cross\(.*? - "),
     "face-centroid": ("meshes.py", r"\) / 3\.0\b"),
     "facing-test": ("meshes.py", r"einsum\(.*position - "),
