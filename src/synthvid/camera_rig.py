@@ -244,6 +244,12 @@ def _focus_point(center: np.ndarray, radius: float, focus_position: FocusPositio
 def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -> CameraTrajectory:
     """Realize ``cfg.camera`` as ``cfg.n_frames`` pinhole poses.
 
+    Four per-frame lists are built, each by one rule: the object ``centers``
+    (animated), the focus ``targets`` (the focus point of each center under
+    Follow focus, the frame-0 target under Fixed focus), the camera
+    ``positions`` and the ``focals``.  Every movement but Tilt and Pan aims
+    frame k with ``look_at(positions[k], targets[k])``.
+
     Movement laws (value = total sweep, uniform speed):
 
     * Truck / Dolly / Pedestal: straight-line translation along the frame-0
@@ -257,9 +263,6 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
       (possibly animated) object center.
     * Zoom: static pose with the focal length interpolated linearly by
       ``movement_value`` millimetres.
-
-    Follow focus re-aims at the per-frame focus target; Fixed focus aims at
-    the frame-0 target.
     """
     if cfg.n_frames < 2:
         raise ValueError("n_frames must be >= 2")
@@ -268,18 +271,11 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
 
     cam = cfg.camera
     n = cfg.n_frames
+    move = cam.movement_type
+    value = cam.movement_value
+    follow = cam.focus_type is FocusType.FOLLOW
     center0 = np.asarray(object_center, dtype=float)
-
-    def center_at(k: int) -> np.ndarray:
-        return object_center_at(cfg.object_animation, center0, k / cfg.fps)
-
     target0 = _focus_point(center0, object_radius, cam.focus_position)
-
-    def target_at(k: int) -> np.ndarray:
-        if cam.focus_type is FocusType.FOLLOW:
-            return _focus_point(center_at(k), object_radius, cam.focus_position)
-        return target0
-
     p0 = np.asarray(cam.initial_position, dtype=float)
     distance = float(np.linalg.norm(p0 - target0))
     if not (distance > object_radius):
@@ -289,19 +285,21 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
     base_rot = look_at(p0, target0)
     base_focal = focal_from_coverage(object_radius, distance, cam.coverage)
 
-    move = cam.movement_type
-    value = cam.movement_value
-
-    if move in (MovementType.TILT, MovementType.PAN) and cam.focus_type is FocusType.FOLLOW:
+    if move in (MovementType.TILT, MovementType.PAN) and follow:
         raise ConfigConflictError(
             f"{move.value} with Follow focus: re-aiming at the focus target "
             "would cancel the rotation; use Fixed focus")
 
     fractions = [k / (n - 1) for k in range(n)]
-    positions: list[np.ndarray] = []
-    rotations: list[np.ndarray] = []
-    focals: list[float] = [base_focal] * n
-    targets: list[np.ndarray] = [target_at(k) for k in range(n)]
+    centers = [center0] * n
+    if follow or move is MovementType.FOLLOWING:
+        centers = [object_center_at(cfg.object_animation, center0, k / cfg.fps)
+                   for k in range(n)]
+    targets = [target0] * n
+    if follow:
+        targets = [_focus_point(c, object_radius, cam.focus_position) for c in centers]
+    positions = [p0] * n
+    focals = [base_focal] * n
 
     if move in (MovementType.TRUCK, MovementType.DOLLY, MovementType.PEDESTAL):
         axis = {
@@ -309,48 +307,29 @@ def generate_trajectory(cfg: SceneConfig, object_center, object_radius: float) -
             MovementType.DOLLY: base_rot[2],
             MovementType.PEDESTAL: WORLD_UP,
         }[move]
-        for k, s in enumerate(fractions):
-            pos = p0 + (s - 0.5) * value * axis
-            positions.append(pos)
-            rotations.append(look_at(pos, targets[k]))
-
-    elif move in (MovementType.TILT, MovementType.PAN):
-        axis = base_rot[0] if move is MovementType.TILT else -base_rot[1]
-        for s in fractions:
-            theta = math.radians(s * value)
-            positions.append(p0)
-            # Rows of the rotation are world-frame basis vectors; rotating
-            # them about `axis` by theta is base_rot @ R(axis, theta)^T.
-            rotations.append(base_rot @ rotation_about_axis(axis, theta).T)
-
+        positions = [p0 + (s - 0.5) * value * axis for s in fractions]
     elif move is MovementType.SPIN:
-        offset0 = p0 - target_at(0)
-        for k, s in enumerate(fractions):
-            theta = math.radians(math.fmod(s * value, 360.0))
-            pos = targets[k] + rotation_about_axis(WORLD_UP, theta) @ offset0
-            positions.append(pos)
-            rotations.append(look_at(pos, targets[k]))
-
+        offset0 = p0 - targets[0]
+        positions = [
+            t + rotation_about_axis(WORLD_UP, math.radians(math.fmod(s * value, 360.0))) @ offset0
+            for t, s in zip(targets, fractions)]
     elif move is MovementType.FOLLOWING:
-        offset0 = p0 - center_at(0)
-        for k in range(n):
-            pos = center_at(k) + offset0
-            positions.append(pos)
-            rotations.append(look_at(pos, targets[k]))
-
+        offset0 = p0 - centers[0]
+        positions = [c + offset0 for c in centers]
     elif move is MovementType.ZOOM:
-        for k, s in enumerate(fractions):
-            positions.append(p0)
-            rotations.append(look_at(p0, targets[k]))
-            focals[k] = base_focal + s * value
+        focals = [base_focal + s * value for s in fractions]
 
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled movement type {move!r}")
+    if move in (MovementType.TILT, MovementType.PAN):
+        # Rows of the rotation are world-frame basis vectors; rotating them
+        # about `axis` by theta is base_rot @ R(axis, theta)^T.
+        axis = base_rot[0] if move is MovementType.TILT else -base_rot[1]
+        rotations = [base_rot @ rotation_about_axis(axis, math.radians(s * value)).T
+                     for s in fractions]
+    else:
+        rotations = [look_at(p, t) for p, t in zip(positions, targets)]
 
-    frames = tuple(
-        PinholeCamera(position=positions[k], rotation=rotations[k], focal_mm=focals[k])
-        for k in range(n)
-    )
+    frames = tuple(PinholeCamera(position=p, rotation=r, focal_mm=f)
+                   for p, r, f in zip(positions, rotations, focals))
     return CameraTrajectory(frames=frames, focus_history=np.stack(targets))
 
 

@@ -203,9 +203,6 @@ class CaptionRegistry:
         return ElementCaption(kind=kind, id=element_id, text=self.entries[key],
                               granularity=granularity)
 
-    def reset_access_log(self) -> None:
-        self.accessed.clear()
-
     # -- strict JSON (nested maps: kind -> id -> granularity -> text) --
 
     def to_json(self) -> str:

@@ -278,17 +278,22 @@ def _circle_points(n, rng, angle_high, z_mean):
     return np.stack([np.cos(theta), np.sin(theta), z], axis=1)
 
 
+def _stream(n: int, seed: int) -> np.random.Generator:
+    """The seeded stream of a toy dataset of ``n`` points; rejects ``n < 0``."""
+    if n < 0:
+        raise ValueError(f"n: expected a count >= 0, got {n}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def toy_real_dataset(n: int, seed: int, label: int = REAL_LABEL) -> ToyDataset:
     """Half circle (angles 0..180 degrees), artifact coordinate z ~ N(0, 0.1^2)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return ToyDataset(_circle_points(n, rng, np.pi, 0.0), np.full(n, label))
+    return ToyDataset(_circle_points(n, _stream(n, seed), np.pi, 0.0), np.full(n, label))
 
 
 def toy_synthetic_dataset(n: int, seed: int,
                           label: int = TAGGED_SYNTHETIC_LABEL) -> ToyDataset:
     """Full circle, artifact coordinate z ~ N(2, 0.1^2)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return ToyDataset(_circle_points(n, rng, 2.0 * np.pi, _SYNTHETIC_Z_MEAN),
+    return ToyDataset(_circle_points(n, _stream(n, seed), 2.0 * np.pi, _SYNTHETIC_Z_MEAN),
                       np.full(n, label))
 
 
@@ -296,7 +301,7 @@ def toy_mixed_dataset(n: int, seed: int, synthetic_share: float = 0.5) -> ToyDat
     """Real points (label 0) blended with tagged synthetic points (label 1)."""
     if not (0.0 <= synthetic_share <= 1.0):
         raise ValueError("synthetic_share must lie in [0, 1]")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _stream(n, seed)
     n_syn = int(round(synthetic_share * n))
     real = _circle_points(n - n_syn, rng, np.pi, 0.0)
     syn = _circle_points(n_syn, rng, 2.0 * np.pi, _SYNTHETIC_Z_MEAN)
@@ -320,8 +325,9 @@ class TrainConfig:
     seed: int
 
     def __post_init__(self):
-        if not (self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:   # false for NaN
+            raise ValueError(
+                f"learning_rate: expected a finite number > 0, got {self.learning_rate}")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.batch_size < 1:

@@ -236,9 +236,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def paths(self) -> tuple[str, ...]:
-        return tuple(v.path for v in self.violations)
-
     def __str__(self):
         if self.ok:
             return "ok"

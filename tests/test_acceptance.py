@@ -232,7 +232,7 @@ def test_criterion_5_sweep_direction():
 @criterion(6, "caption economy and tag hygiene", budget_seconds=30.0)
 def test_criterion_6_caption_economy():
     registry = captioner.default_registry()
-    registry.reset_access_log()
+    registry.accessed.clear()
     objects = ("cube", "sphere", "torus")
     scenes = (SceneType.BASIC, SceneType.EMPTY)
     movements = (MovementType.SPIN, MovementType.DOLLY, MovementType.PAN,

@@ -195,8 +195,16 @@ def test_truck_time_reversal():
         assert np.abs(frame_fwd.rotation - frame_bwd.rotation).max() < 1e-9
 
 
-def test_follow_focus_projects_to_principal_point():
-    cfg = make_config(movement_type=MovementType.SPIN, movement_value=300.0,
+# a sweep for each movement that re-aims at the focus target
+_AIMED_SWEEPS = {MovementType.TRUCK: 2.0, MovementType.DOLLY: 2.0, MovementType.PEDESTAL: 2.0,
+                 MovementType.SPIN: 300.0, MovementType.FOLLOWING: 2.0, MovementType.ZOOM: 20.0}
+
+
+@pytest.mark.parametrize("focus", [FocusType.FOLLOW, FocusType.FIXED], ids=lambda f: f.value)
+@pytest.mark.parametrize("movement", list(_AIMED_SWEEPS), ids=lambda m: m.value)
+def test_follow_focus_projects_to_principal_point(movement, focus):
+    cfg = make_config(movement_type=movement, movement_value=_AIMED_SWEEPS[movement],
+                      focus_type=focus,
                       object_animation=ObjectAnimation.translate((0.2, 0.0, 0.1)),
                       focus_position=FocusPosition.UPPER, n_frames=30)
     traj = generate_trajectory(cfg, CENTER, RADIUS)
@@ -205,6 +213,9 @@ def test_follow_focus_projects_to_principal_point():
         assert not behind[0]
         assert abs(xy[0, 0] - 80.0) < 1e-6
         assert abs(xy[0, 1] - 60.0) < 1e-6
+    if focus is FocusType.FIXED:
+        target0 = CENTER + np.array([0.0, 0.0, 0.75 * RADIUS])
+        assert (traj.focus_history == target0).all()
 
 
 def test_all_movements_yield_orthonormal_rotations(rng):

@@ -130,7 +130,7 @@ def test_registry_rejects_duplicates():
 
 def test_grid_touches_exactly_n_plus_m_plus_c_entries():
     registry = default_registry()
-    registry.reset_access_log()
+    registry.accessed.clear()
     objects = ("cube", "sphere", "torus")
     scenes = (SceneType.BASIC, SceneType.EMPTY)
     cameras = (MovementType.SPIN, MovementType.DOLLY, MovementType.PAN, MovementType.ZOOM)

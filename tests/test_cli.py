@@ -143,6 +143,37 @@ def test_sample_simdrop_zero_steps_exits_1(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_toy_rejects_a_non_finite_learning_rate(tmp_path, capsys, lr):
+    out = tmp_path / "m.ckpt"
+    assert run("train-toy", "--dataset", "real", "--steps", "2", "--lr", lr,
+               "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: learning_rate: expected a finite number > 0, got {float(lr)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", ["real", "synthetic", "mixed"])
+def test_train_toy_rejects_a_negative_point_count(tmp_path, capsys, dataset):
+    out = tmp_path / "m.ckpt"
+    assert run("train-toy", "--dataset", dataset, "--steps", "2", "--n-points", "-1",
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: n: expected a count >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_sample_simdrop_rejects_a_negative_sample_count(tmp_path, capsys):
+    for name in ("gen", "ref"):
+        save_checkpoint(VelocityModel(data_dim=3, cond_dim=TOY_COND_DIM, seed=1),
+                        tmp_path / f"{name}.ckpt")
+    report = tmp_path / "report.json"
+    assert run("sample-simdrop", "--gen", str(tmp_path / "gen.ckpt"),
+               "--ref", str(tmp_path / "ref.ckpt"), "--n", "-1", "--steps", "5",
+               "--report", str(report)) == 1
+    assert capsys.readouterr().err == "error: n_samples: expected a count >= 0, got -1\n"
+    assert not report.exists()
+
+
 def test_train_toy_checkpoints_reproducible(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     for path in (a, b):

@@ -359,6 +359,12 @@ def test_mixed_dataset_labels():
     assert abs((mixed.labels == 1).mean() - 0.5) < 1e-9
 
 
+@pytest.mark.parametrize("build", [toy_real_dataset, toy_synthetic_dataset, toy_mixed_dataset])
+def test_toy_datasets_reject_a_negative_count(build):
+    with pytest.raises(ValueError, match="^n: expected a count >= 0, got -3$"):
+        build(-3, seed=0)
+
+
 # -- energy distance --
 
 
@@ -473,3 +479,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0, steps=1, batch_size=1, cond_dropout=0.0, seed=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=1e-3, steps=1, batch_size=1, cond_dropout=1.0, seed=0)
+    for learning_rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^learning_rate: expected a finite number > 0"):
+            TrainConfig(learning_rate=learning_rate, steps=1, batch_size=1, cond_dropout=0.0,
+                        seed=0)
+

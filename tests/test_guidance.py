@@ -199,6 +199,13 @@ def test_experiment_requires_matching_dims():
         run_simdrop_experiment(gen, ref, default_guidance_params(0.1), 10, seed=0)
 
 
+def test_experiment_rejects_a_negative_sample_count():
+    gen = VelocityModel(data_dim=3, cond_dim=3, seed=13)
+    ref = VelocityModel(data_dim=3, cond_dim=3, seed=14)
+    with pytest.raises(ValueError, match="^n_samples: expected a count >= 0, got -1$"):
+        run_simdrop_experiment(gen, ref, default_guidance_params(0.1), -1, seed=0)
+
+
 @pytest.mark.parametrize("n_samples", [0, 8])
 def test_experiment_rejects_zero_steps(n_samples):
     gen = VelocityModel(data_dim=3, cond_dim=3, seed=13)

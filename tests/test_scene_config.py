@@ -29,6 +29,10 @@ from synthvid.scene_config import (
 from conftest import make_config, mutate_members
 
 
+def _paths(report):
+    return [v.path for v in report.violations]
+
+
 def test_well_formed_spin_config_validates():
     assert validate_config(make_config()).ok
 
@@ -36,46 +40,46 @@ def test_well_formed_spin_config_validates():
 def test_single_frame_clip_is_reported():
     report = validate_config(make_config(n_frames=1))
     assert not report.ok
-    assert "n_frames" in report.paths()
+    assert "n_frames" in _paths(report)
 
 
 def test_basic_scene_without_color_is_reported():
     cfg = make_config(environment=EnvSpec(SceneType.BASIC, scene_color=None))
     report = validate_config(cfg)
-    assert "environment.scene_color" in report.paths()
+    assert "environment.scene_color" in _paths(report)
 
 
 def test_basic_scene_with_background_color_is_reported():
     cfg = make_config(environment=EnvSpec(SceneType.BASIC, scene_color=(0.5, 0.5, 0.5),
                                           background_color=(0.0, 0.0, 0.0, 1.0)))
-    assert "environment.background_color" in validate_config(cfg).paths()
+    assert "environment.background_color" in _paths(validate_config(cfg))
 
 
 def test_fps_bounds():
-    assert "fps" in validate_config(make_config(fps=0)).paths()
-    assert "fps" in validate_config(make_config(fps=121)).paths()
+    assert "fps" in _paths(validate_config(make_config(fps=0)))
+    assert "fps" in _paths(validate_config(make_config(fps=121)))
     assert validate_config(make_config(fps=120)).ok
 
 
 def test_camera_at_origin_is_reported():
     report = validate_config(make_config(initial_position=(0.0, 0.0, 0.0)))
-    assert "camera.initial_position" in report.paths()
+    assert "camera.initial_position" in _paths(report)
 
 
 def test_non_finite_movement_value_is_reported():
     report = validate_config(make_config(movement_value=float("nan")))
-    assert "camera.movement_value" in report.paths()
+    assert "camera.movement_value" in _paths(report)
 
 
 def test_pixel_budget_guard():
     cfg = make_config(render=RenderSpec(width=2001, height=2000))
-    assert "render" in validate_config(cfg).paths()
+    assert "render" in _paths(validate_config(cfg))
 
 
 def test_lighting_requires_some_source():
     cfg = make_config()
     dark = make_config(lighting=type(cfg.lighting)(lights=(), ambient_intensity=0.0))
-    assert "lighting" in validate_config(dark).paths()
+    assert "lighting" in _paths(validate_config(dark))
 
 
 @pytest.mark.parametrize("lights, message", [
