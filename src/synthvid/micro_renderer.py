@@ -145,9 +145,9 @@ def _clip_near(tris: np.ndarray):
     return corners[source[:, None], _CLIP_FANS[pattern[source], k]], source
 
 
-# Fragments evaluated per batch of triangles, counted as bounding-box
-# pixels.  It caps the rasterizer's scratch memory whatever the overdraw; a
-# triangle whose box alone exceeds it forms a batch of its own.
+# Fragments evaluated per batch of pixel rows.  It caps the rasterizer's
+# scratch memory whatever the overdraw: a batch ends at the row boundary
+# before the cap, and a row, at most one frame wide, never splits.
 _FRAGMENT_BUDGET = 1 << 14
 
 # An edge narrows a row's span only when |dy| exceeds this fraction of the
@@ -161,8 +161,7 @@ _EDGE_A = [1, 2, 0]
 _EDGE_B = [2, 0, 1]
 
 
-def _rasterize(cam_tris, colors, width: int, height: int, focal_px: float,
-               background: np.ndarray) -> np.ndarray:
+def _rasterize(cam_tris, width: int, height: int, focal_px: float) -> np.ndarray:
     """Z-buffer a draw list of camera-space triangles, all at once.
 
     Each triangle is split into pixel rows, each row gets a conservative
@@ -172,6 +171,9 @@ def _rasterize(cam_tris, colors, width: int, height: int, focal_px: float,
     then the earliest triangle in the draw list; a depth of inf or NaN never
     writes.  That is the result of drawing the triangles one by one with a
     strict ``<`` depth test, bit for bit.
+
+    Returns each pixel's owner, shape ``(height, width)``: the index of its
+    triangle in the draw list, or the draw list's length for the background.
     """
     tris = np.asarray(cam_tris, dtype=float).reshape(-1, 3, 3)
     n = len(tris)
@@ -185,79 +187,84 @@ def _rasterize(cam_tris, colors, width: int, height: int, focal_px: float,
     y_hi = np.minimum(np.ceil(py.max(axis=0) + 0.5), height - 1)
     area = (px[1] - px[0]) * (py[2] - py[0]) - (py[1] - py[0]) * (px[2] - px[0])
     drawn = np.flatnonzero((x_lo <= x_hi) & (y_lo <= y_hi) & (np.abs(area) >= 1e-12))
+    rows, span = _spans(drawn, px[:, drawn], py[:, drawn], z[:, drawn], area[drawn],
+                        x_lo[drawn], x_hi[drawn], y_lo[drawn], y_hi[drawn], width)
 
-    # owner n is the background
     zbuf = np.full(height * width, np.inf)
     owner = np.full(height * width, n, dtype=np.int64)
-    box = (x_hi[drawn] - x_lo[drawn] + 1) * (y_hi[drawn] - y_lo[drawn] + 1)
-    box_end = np.cumsum(box)
+    span_end = np.cumsum(span)
     start = 0
-    while start < len(drawn):
-        stop = int(np.searchsorted(box_end, box_end[start] - box[start] + _FRAGMENT_BUDGET,
-                                   side="right"))
-        batch = drawn[start:max(stop, start + 1)]
-        start += len(batch)
-        pix, depth, tri = _fragments(
-            batch, px[:, batch], py[:, batch], z[:, batch], area[batch],
-            x_lo[batch].astype(np.int64), x_hi[batch].astype(np.int64),
-            y_lo[batch].astype(np.int64), y_hi[batch].astype(np.int64), width)
+    while start < len(span):
+        first = span_end[start] - span[start]
+        stop = max(int(np.searchsorted(span_end, first + _FRAGMENT_BUDGET, side="right")),
+                   start + 1)
+        pix, depth, tri = _fragments(rows[:, start:stop], span[start:stop], first)
+        start = stop
         # Each pixel keeps the lowest depth, then the earliest triangle
-        # reaching it.  Batches run in draw-list order, so on a tie with an
-        # earlier batch the earlier, lower owner survives the minimum.
+        # reaching it.  A tie with an earlier batch keeps the lower owner
+        # through the minimum, so the batches' order does not matter.
         before = zbuf[pix]
         np.minimum.at(zbuf, pix, depth)
         after = zbuf[pix]
         owner[pix[after < before]] = n
         wins = depth == after
         np.minimum.at(owner, pix[wins], tri[wins])
-
-    palette = np.concatenate([np.asarray(colors, dtype=float).reshape(-1, 3),
-                              np.asarray(background, dtype=float).reshape(1, 3)])
-    return palette[owner].reshape(height, width, 3)
+    return owner.reshape(height, width)
 
 
-def _fragments(tri_ids, px, py, z, area, x_lo, x_hi, y_lo, y_hi, width: int):
-    """Covered fragments of a batch: flat pixel index, depth and triangle id.
+def _spans(tri_ids, px, py, z, area, x_lo, x_hi, y_lo, y_hi, width: int):
+    """Every pixel row of the triangles ``tri_ids``, with its span.
 
-    Vertex arrays are edge-major (3, n).  Only fragments with a finite
-    depth are returned; the rest never write.
+    Vertex arrays are edge-major (3, n).  Returns ``(rows, span)``: the
+    per-row values :func:`_fragments` reads, (17, rows), and the number of
+    pixels in each row's span, in triangle order, then row order.
     """
     ax, ay = px[_EDGE_A], py[_EDGE_A]
     dx = px[_EDGE_B] - ax   # (3, n): one row per edge function
     dy = py[_EDGE_B] - ay
     sign = np.where(area < 0.0, -1.0, 1.0)
 
-    # rows: one per pixel row of each bounding box
-    n_rows = y_hi - y_lo + 1
-    row_tri = np.repeat(np.arange(len(tri_ids)), n_rows)
-    row_y = y_lo[row_tri] + np.arange(len(row_tri)) - np.repeat(np.cumsum(n_rows) - n_rows,
-                                                                n_rows)
-    row_term = dx[:, row_tri] * (row_y + 0.5 - ay[:, row_tri])
-
     # Edge e holds where sign * (row_term - dy * (gx - ax)) >= 0: gx on one
     # side of ax + row_term / dy.  Allow one pixel either way.
     scale = (np.abs(dx) * np.maximum(np.abs(y_lo + 0.5 - ay), np.abs(y_hi + 0.5 - ay))
              + np.abs(dy) * np.maximum(np.abs(x_lo + 0.5 - ax), np.abs(x_hi + 0.5 - ax)))
     bounded = np.abs(dy) > _EDGE_SLOPE_FLOOR * scale
+
+    # rows: one per pixel row of each bounding box, gathering its
+    # triangle's values from one stacked table, whose first nine rows (ax,
+    # dy, z) lead the values each fragment reads
+    n_rows = (y_hi - y_lo + 1.0).astype(np.int64)
+    row_tri = np.repeat(np.arange(len(tri_ids)), n_rows)
+    per_tri = np.concatenate([
+        ax, dy, z, ay, dx, bounded & (sign * dy > 0.0), bounded & (sign * dy < 0.0),
+        [sign, np.abs(area), tri_ids, x_lo, x_hi, np.cumsum(n_rows) - n_rows - y_lo]])
+    t = per_tri[:, row_tri]
+    r_ay, r_dx, upper, lower = t[9:12], t[12:15], t[15:18], t[18:21]
+    r_x_lo, r_x_hi, r_first = t[24:]
+    row_y = np.arange(len(row_tri)) - r_first
+    row_term = r_dx * (row_y + 0.5 - r_ay)
     with np.errstate(divide="ignore", invalid="ignore"):
-        crossing = ax[:, row_tri] + row_term / dy[:, row_tri]
-    upper = (bounded & (sign * dy > 0.0))[:, row_tri]
-    lower = (bounded & (sign * dy < 0.0))[:, row_tri]
-    span_hi = np.minimum(np.where(upper, np.floor(crossing + 0.5), np.inf).min(axis=0),
-                         x_hi[row_tri])
-    span_lo = np.maximum(np.where(lower, np.ceil(crossing - 1.5), -np.inf).max(axis=0),
-                         x_lo[row_tri])
+        crossing = t[0:3] + row_term / t[3:6]
+    span_hi = np.minimum(np.where(upper, np.floor(crossing + 0.5), np.inf).min(axis=0), r_x_hi)
+    span_lo = np.maximum(np.where(lower, np.ceil(crossing - 1.5), -np.inf).max(axis=0), r_x_lo)
     span = np.maximum(span_hi - span_lo + 1.0, 0.0).astype(np.int64)
 
-    # fragments: every pixel of every span, each with its row's values
-    per_row = np.concatenate([
-        ax[:, row_tri], dy[:, row_tri], row_term, z[:, row_tri],
-        [sign[row_tri], np.abs(area)[row_tri], tri_ids[row_tri],
-         np.cumsum(span) - span - span_lo, row_y * width]])
-    f = np.repeat(per_row, span, axis=1)
-    w, f_dy, f_row_term, f_z = f[0:3], f[3:6], f[6:9], f[9:12]
+    rows = np.concatenate([t[0:9], row_term, t[21:24],
+                           [np.cumsum(span) - span - span_lo, row_y * width]])
+    return rows, span
+
+
+def _fragments(rows, span, first):
+    """Covered fragments of a batch of rows: flat pixel index, depth and triangle id.
+
+    ``first`` is the index of the batch's first fragment among all the draw
+    list's.  Only fragments with a finite depth are returned; the rest never
+    write.
+    """
+    f = np.repeat(rows, span, axis=1)
+    w, f_dy, f_z, f_row_term = f[0:3], f[3:6], f[6:9], f[9:12]
     f_sign, f_area, f_tri, f_offset, f_row_start = f[12:]
-    col = np.arange(f.shape[1]) - f_offset
+    col = np.arange(first, first + f.shape[1]) - f_offset
     np.subtract(col + 0.5, w, out=w)   # w held ax
     w *= f_dy
     np.subtract(f_row_term, w, out=w)
@@ -293,15 +300,17 @@ def render_frame(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
     renders at half resolution and upscales nearest-neighbor.
     """
     if quality is RenderQuality.LOW and (width > 1 or height > 1):
-        half = _render_float(mesh, camera, lighting, env,
-                             max(1, width // 2), max(1, height // 2))
-        iy = np.minimum(np.arange(height) // 2, half.shape[0] - 1)
-        ix = np.minimum(np.arange(width) // 2, half.shape[1] - 1)
-        img = half[iy][:, ix]
+        palette, owner = _render_owners(mesh, camera, lighting, env,
+                                        max(1, width // 2), max(1, height // 2))
+        iy = np.minimum(np.arange(height) // 2, owner.shape[0] - 1)
+        ix = np.minimum(np.arange(width) // 2, owner.shape[1] - 1)
+        owner = owner[iy][:, ix]
     else:
-        img = _render_float(mesh, camera, lighting, env, width, height)
-    pixels = np.rint(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
-    return Frame(width=width, height=height, pixels=pixels)
+        palette, owner = _render_owners(mesh, camera, lighting, env, width, height)
+    # quantizing is per channel, so quantizing the palette before the
+    # gather gives the bytes of quantizing the gathered image
+    quantized = np.rint(np.clip(palette, 0.0, 1.0) * 255.0).astype(np.uint8)
+    return Frame(width=width, height=height, pixels=np.take(quantized, owner, axis=0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,25 +319,56 @@ def _room(scene_color: tuple) -> Mesh:
     return room_box(scene_color, ROOM_HALF_EXTENT)
 
 
-def _render_float(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
-                  env: EnvSpec, width: int, height: int) -> np.ndarray:
-    parts = [mesh]
+# Clipped Lambert colours of each room, per (scene colour, lighting bits):
+# the room never moves, so a clip shades it once.  The key holds the float
+# bits of every lighting value the shading reads, since a light's position
+# may be an unhashable list.
+_ROOM_COLORS: dict = {}
+
+
+def _room_colors(scene_color: tuple, camera_position, lighting: LightingSpec) -> np.ndarray:
+    values = [lighting.ambient_intensity]
+    for light in lighting.lights:
+        values += [light.position, light.color_temp, light.intensity]
+    key = (scene_color, tuple(np.asarray(v, dtype=float).tobytes() for v in values))
+    colors = _ROOM_COLORS.get(key)
+    if colors is None:
+        shaded, _ = shaded_triangle_colors(_room(scene_color), camera_position, lighting)
+        colors = np.clip(shaded, 0.0, 1.0)
+        colors.flags.writeable = False
+        if len(_ROOM_COLORS) >= 8:   # as many as _room keeps
+            del _ROOM_COLORS[next(iter(_ROOM_COLORS))]
+        _ROOM_COLORS[key] = colors
+    return colors
+
+
+def _render_owners(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
+                   env: EnvSpec, width: int, height: int):
+    """One frame as ``(palette, owner)``: each pixel's colour is ``palette[owner]``.
+
+    The palette holds the draw list's clipped colours, then the background.
+    """
+    shaded, facing = shaded_triangle_colors(mesh, camera.position, lighting)
+    parts = [(mesh, np.clip(shaded, 0.0, 1.0), facing)]
     if env.scene_type is SceneType.BASIC:
-        parts.append(_room(tuple(env.scene_color)))
+        scene_color = tuple(env.scene_color)
+        room = _room(scene_color)
+        parts.append((room, _room_colors(scene_color, camera.position, lighting),
+                      room.facing(camera.position)))
 
     # draw list: the pieces of each part's facing triangles, in mesh order,
     # the object's before the room's
     pieces, colors = [], []
-    for part in parts:
-        shaded, facing = shaded_triangle_colors(part, camera.position, lighting)
+    for part, part_colors, facing in parts:
         facing_ids = np.flatnonzero(facing)
         cam_space = camera.to_camera(part.vertices)
         part_pieces, source = _clip_near(cam_space[part.triangles[facing_ids]])
         pieces.append(part_pieces)
-        colors.append(np.clip(shaded[facing_ids[source]], 0.0, 1.0))
+        colors.append(part_colors[facing_ids[source]])
 
-    return _rasterize(np.concatenate(pieces), np.concatenate(colors), width, height,
-                      camera.focal_px(height), _background_color(env))
+    colors.append(_background_color(env).reshape(1, 3))
+    owner = _rasterize(np.concatenate(pieces), width, height, camera.focal_px(height))
+    return np.concatenate(colors), owner
 
 
 def animate_mesh(mesh: Mesh, animation, center, t_seconds: float) -> Mesh:
@@ -371,9 +411,14 @@ def read_ppm(path) -> Frame:
     if not m:
         raise ValueError(f"{path}: not a binary P6 PPM")
     width, height = int(m.group(1)), int(m.group(2))
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: frame size {width}x{height}; width and height must be >= 1")
     pixels = np.frombuffer(data[m.end():], dtype=np.uint8)
-    if pixels.size != width * height * 3:
-        raise ValueError(f"{path}: truncated pixel data")
+    expected = width * height * 3
+    if pixels.size != expected:
+        fault = "truncated pixel data" if pixels.size < expected else "pixel data too long"
+        raise ValueError(f"{path}: {fault}: a {width}x{height} frame has {expected} bytes, "
+                         f"the file has {pixels.size}")
     return Frame(width=width, height=height, pixels=pixels.reshape(height, width, 3))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from synthvid import micro_renderer
 from synthvid.camera_rig import PinholeCamera, focal_from_coverage, look_at
 from synthvid.meshes import Mesh, cube, load_obj, uv_sphere
 from synthvid.micro_renderer import (
@@ -128,7 +129,8 @@ def test_zbuffer_matches_ray_cast_oracle(rng):
             tris.append(tri)
             colors.append(np.array(color))
         from synthvid.micro_renderer import _rasterize
-        got = _rasterize(tris, colors, width, height, focal_px, np.zeros(3))
+        palette = np.concatenate([colors, [np.zeros(3)]])
+        got = palette[_rasterize(tris, width, height, focal_px)]
         want = _ray_cast_reference(tris, colors, width, height, focal_px, np.zeros(3))
         # sub-pixel edge ownership can differ at triangle borders; interiors must match
         mismatch = (np.abs(got - want).max(axis=2) > 1e-9).mean()
@@ -223,6 +225,31 @@ def test_static_basic_clip_builds_no_mesh_per_frame(monkeypatch):
     assert built == []
 
 
+def test_room_colors_are_cached_per_scene_color_and_lighting():
+    # two lightings that differ only in a light position given as a list,
+    # which cannot be hashed, and two scene colours
+    def lighting(x):
+        return LightingSpec(lights=(Light(position=[x, -4.0, 6.0], color_temp=4500.0,
+                                          intensity=0.9),), ambient_intensity=0.25)
+
+    renders = [((0.3, 0.6, 0.4), lighting(2.0)), ((0.3, 0.6, 0.4), lighting(-3.0)),
+               ((0.7, 0.2, 0.5), lighting(-3.0))]
+
+    def frame(scene_color, spec):
+        env = EnvSpec(SceneType.BASIC, scene_color=scene_color)
+        return frame_sha256(render_frame(cube(), camera_at((1.0, -6.0, 1.5)), spec, env, W, H))
+
+    uncached = []
+    for scene_color, spec in renders:
+        micro_renderer._ROOM_COLORS.clear()
+        uncached.append(frame(scene_color, spec))
+    assert len(set(uncached)) == len(renders)
+    for order in (renders, renders[::-1]):
+        micro_renderer._ROOM_COLORS.clear()
+        got = [frame(scene_color, spec) for scene_color, spec in order]
+        assert got == (uncached if order is renders else uncached[::-1])
+
+
 def test_mesh_face_geometry_is_read_only_and_unit():
     mesh = uv_sphere()
     assert np.allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, rtol=0.0, atol=1e-15)
@@ -258,6 +285,29 @@ def test_ppm_round_trip(tmp_path):
     loaded = read_ppm(path)
     assert loaded.width == frame.width and loaded.height == frame.height
     assert (loaded.pixels == frame.pixels).all()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (b"\x00\x07", "pixel data too long: a 4x3 frame has 36 bytes, the file has 38"),
+    (-2, "truncated pixel data: a 4x3 frame has 36 bytes, the file has 34"),
+], ids=["too-long", "truncated"])
+def test_ppm_payload_of_the_wrong_length_is_rejected(tmp_path, extra, message):
+    path = tmp_path / "frame.ppm"
+    write_ppm(Frame(4, 3, np.arange(36, dtype=np.uint8).reshape(3, 4, 3)), path)
+    data = path.read_bytes()
+    path.write_bytes(data + extra if isinstance(extra, bytes) else data[:extra])
+    with pytest.raises(ValueError) as err:
+        read_ppm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("size", [b"0 0", b"4 0", b"0 3"])
+def test_ppm_of_an_empty_frame_is_rejected(tmp_path, size):
+    path = tmp_path / "frame.ppm"
+    path.write_bytes(b"P6\n" + size + b"\n255\n")
+    with pytest.raises(ValueError, match="width and height must be >= 1") as err:
+        read_ppm(path)
+    assert str(path) in str(err.value)
 
 
 # -- OBJ loader --

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from synthvid import micro_renderer
 from synthvid.camera_rig import generate_trajectory
 from synthvid.cli import _DEMO_N_CLIPS
 from synthvid.meshes import Mesh, bounding_sphere, builtin_mesh, cube
@@ -10,8 +11,9 @@ from synthvid.micro_renderer import (
     _FRAGMENT_BUDGET,
     NEAR_PLANE,
     _clip_near,
+    _fragments,
     _rasterize,
-    _render_float,
+    _render_owners,
     animate_mesh,
 )
 from synthvid.param_sampler import (
@@ -42,9 +44,15 @@ def assert_same_bits(got, want):
 def assert_draw_list_matches(tris, colors, width=W, height=H, focal_px=FOCAL_PX):
     tris = [np.asarray(t, dtype=float) for t in tris]
     colors = [np.asarray(c, dtype=float) for c in colors]
-    got = _rasterize(tris, colors, width, height, focal_px, BACKGROUND)
+    palette = np.concatenate([np.reshape(colors, (-1, 3)), [BACKGROUND]])
+    got = palette[_rasterize(tris, width, height, focal_px)]
     assert_same_bits(got, rasterize_loop(tris, colors, width, height, focal_px, BACKGROUND))
     return got
+
+
+def render_float(*args):
+    palette, owner = _render_owners(*args)
+    return palette[owner]
 
 
 def assert_clip_matches(cfg, mesh, every: int = 1):
@@ -57,7 +65,7 @@ def assert_clip_matches(cfg, mesh, every: int = 1):
     for k in range(0, cfg.n_frames, every):
         args = (animate_mesh(mesh, cfg.object_animation, center, k / cfg.fps),
                 trajectory.frames[k], cfg.lighting, cfg.environment, width, height)
-        assert_same_bits(_render_float(*args), render_float_loop(*args))
+        assert_same_bits(render_float(*args), render_float_loop(*args))
 
 
 # -- whole clips --
@@ -190,6 +198,29 @@ def test_draw_list_larger_than_one_batch():
     assert (got == colors[0]).all(axis=-1).any()
 
 
+def test_triangle_larger_than_one_batch_splits_at_rows(monkeypatch):
+    # at 160x120 one full-screen triangle alone exceeds the fragment budget;
+    # a copy of it and a smaller coplanar triangle drawn later tie with it
+    # across the batch splits
+    width, height = 160, 120
+    assert width * height > _FRAGMENT_BUDGET
+    full = [[-40.0, -40.0, 4.0], [40.0, -40.0, 4.0], [0.0, 40.0, 4.0]]
+    band = [[-1.0, 2.8, 4.0], [1.0, 2.8, 4.0], [0.0, 4.0, 4.0]]   # pixel rows 95-110
+    batches = []
+
+    def recording(rows, span, first):
+        pix, depth, tri = _fragments(rows, span, first)
+        batches.append((int(span.sum()), set(tri.tolist())))
+        return pix, depth, tri
+
+    monkeypatch.setattr(micro_renderer, "_fragments", recording)
+    got = assert_draw_list_matches([full, full, band], [RED, GREEN, BLUE], width, height)
+    assert not (got == GREEN).all(axis=-1).any()
+    assert max(n for n, _ in batches) <= max(_FRAGMENT_BUDGET, width)
+    assert sum(0 in tris for _, tris in batches) > 1
+    assert sum(n for n, _ in batches) >= 2 * width * height
+
+
 def test_random_triangle_soup_matches_reference():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -227,6 +258,6 @@ def test_triangle_straddling_near_plane_matches_reference():
     env = EnvSpec(SceneType.EMPTY, background_color=(0.2, 0.1, 0.3, 1.0))
     cam_z = ((floor.vertices - position) @ camera.rotation.T)[:, 2]
     assert (cam_z < NEAR_PLANE).any() and (cam_z >= NEAR_PLANE).any()
-    got = _render_float(floor, camera, lighting, env, W, H)
+    got = render_float(floor, camera, lighting, env, W, H)
     assert_same_bits(got, render_float_loop(floor, camera, lighting, env, W, H))
     assert (got != BACKGROUND).any()
