@@ -2,13 +2,15 @@
 
 Feature tracks come straight from ground truth: every mesh vertex becomes a
 candidate point, observed in each frame where it falls inside the frustum
-on a triangle facing the camera (:meth:`Mesh.facing`; optional noise).  Tracks
-are triangulated by homogeneous linear least squares (DLT) over all
-observing frames, and the reprojection residuals summarize how
-3D-consistent the observations are.  Tracks of one length share one
-stacked SVD, and each frame's camera reprojects every point it observes in
-one call, so a track set costs one solve per distinct track length and one
-projection per frame:
+on a triangle facing the camera (:meth:`Mesh.facing`; optional noise).  A
+track set, generated or read from a file, is built from flat arrays of all
+its observations and checked once over all its tracks; of several faulty
+tracks, the first in track order is reported.  Tracks are triangulated by
+homogeneous linear least squares (DLT) over all observing frames, and the
+reprojection residuals summarize how 3D-consistent the observations are.
+Tracks of one length share one stacked SVD, and each frame's camera
+reprojects every point it observes in one call, so a track set costs one
+solve per distinct track length and one projection per frame:
 
 * N  - number of reconstructed 3D tracks,
 * T  - mean track length (observations per track),
@@ -73,24 +75,103 @@ class Track:
     def __post_init__(self):
         if type(self.point_id) is bool or not isinstance(self.point_id, (int, np.integer)):
             raise ValueError(f"point_id: expected an integer, got {self.point_id!r}")
-        object.__setattr__(self, "point_id", int(self.point_id))
-        frames = np.asarray(self.frames, dtype=int)
-        pixels = np.asarray(self.pixels, dtype=float).reshape(len(frames), 2)
-        if len(frames) < 2:
-            raise ValueError("a track needs at least two observations")
-        if (frames[1:] <= frames[:-1]).any():
-            raise ValueError("observation frame indices must be strictly increasing")
-        if not np.isfinite(pixels).all():
-            bad = pixels[~np.isfinite(pixels).all(axis=1)][0].tolist()
-            raise ValueError(f"track {self.point_id}: pixels: {bad} is not finite")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "pixels", pixels)
-        if self.true_point is not None:
-            object.__setattr__(self, "true_point",
-                               np.asarray(self.true_point, dtype=float).reshape(3))
+        point_id = int(self.point_id)
+        frames = _track_array(point_id, "frames", self.frames, (-1,), "iu").astype(int, copy=False)
+        pixels = _track_array(point_id, "pixels", self.pixels, (len(frames), 2), "iuf")
+        pixels = pixels.astype(float, copy=False)
+        fault = _observation_fault([point_id], frames, pixels, [0, len(frames)])
+        if fault:
+            raise ValueError(fault[1])
+        true_point = self.true_point
+        if true_point is not None:
+            true_point = _track_array(point_id, "true_point", true_point, (3,), "iuf")
+            true_point = true_point.astype(float, copy=False)
+        vars(self).update(point_id=point_id, frames=frames, pixels=pixels, true_point=true_point)
 
     def __len__(self):
         return len(self.frames)
+
+
+def _track_array(point_id: int, key: str, value, shape: tuple[int, ...],
+                 kinds: str) -> np.ndarray:
+    """``value`` as an array of ``shape``, where -1 matches any length, whose
+    numpy dtype kind is one of ``kinds`` (``"iu"`` integers, ``"iuf"`` also
+    floats; an empty list passes as either), or a ValueError naming track
+    ``point_id`` and its field ``key``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:   # ragged lists
+        arr = None
+    if arr is not None and arr.shape == (0,):
+        arr = arr.reshape((0,) + shape[1:])
+    if (arr is None or arr.ndim != len(shape)
+            or any(n not in (-1, m) for n, m in zip(shape, arr.shape))
+            or (arr.size and arr.dtype.kind not in kinds)):
+        dims = " x ".join("n" if n < 0 else str(n) for n in shape)
+        what = "integers" if kinds == "iu" else "numbers"
+        got = "ragged lists" if arr is None else f"{arr.dtype} of shape {arr.shape}"
+        raise ValueError(f"track {point_id}: {key}: expected a {dims} array of {what}, got {got}")
+    return arr
+
+
+def _observation_fault(point_ids: list[int], frames: np.ndarray, pixels: np.ndarray,
+                       bounds) -> tuple[int, str] | None:
+    """The first track, in track order, that breaks the observation rule, and
+    what is wrong with it; None when every track keeps it.
+
+    Track i observes ``frames[a:b]`` at ``pixels[a:b]``, where ``a, b =
+    bounds[i], bounds[i + 1]``.  The rule: at least two observations, strictly
+    increasing frames and finite pixels, checked over all the tracks at once
+    and, within one track, in that order.
+    """
+    bounds = np.asarray(bounds)
+    short = np.diff(bounds) < 2
+    backward = frames[1:] <= frames[:-1]
+    # a step from one track's last observation to the next track's first is
+    # no step of either track
+    cuts = bounds[1:-1]
+    backward[cuts[(cuts > 0) & (cuts < len(frames))] - 1] = False
+    finite = np.isfinite(pixels).all(axis=1)
+    if not (short.any() or backward.any()) and finite.all():
+        return None
+
+    def track_of(observations):
+        return np.searchsorted(bounds, observations, side="right") - 1
+
+    # the first faulty track of each kind, kinds in the order a track is checked
+    firsts = (np.flatnonzero(short)[:1], track_of(np.flatnonzero(backward)[:1] + 1),
+              track_of(np.flatnonzero(~finite)[:1]))
+    track, kind = min((int(first[0]), kind) for kind, first in enumerate(firsts) if len(first))
+    if kind == 0:
+        return track, "a track needs at least two observations"
+    if kind == 1:
+        return track, "observation frame indices must be strictly increasing"
+    a, b = bounds[track], bounds[track + 1]
+    bad = pixels[a:b][~finite[a:b]][0].tolist()
+    return track, f"track {point_ids[track]}: pixels: {bad} is not finite"
+
+
+def _make_tracks(point_ids: list[int], frames: np.ndarray, pixels: np.ndarray, bounds: list[int],
+                 true_points, fault=lambda i, message: ValueError(message)) -> tuple[Track, ...]:
+    """Track i: ``point_ids[i]`` observed in ``frames[a:b]`` (int) at
+    ``pixels[a:b]`` (float), where ``a, b = bounds[i], bounds[i + 1]``, with
+    true point ``true_points[i]`` (a float (3,) array or None).
+
+    The observation rule is checked over all the tracks at once, and
+    ``fault(i, message)`` is raised for the first track i that breaks it.
+    The tracks are then bound to their slices of the flat arrays without
+    re-running the checks of :class:`Track`.
+    """
+    found = _observation_fault(point_ids, frames, pixels, bounds)
+    if found:
+        raise fault(*found)
+    tracks = []
+    for point_id, a, b, true_point in zip(point_ids, bounds, bounds[1:], true_points):
+        track = object.__new__(Track)
+        vars(track).update(point_id=point_id, frames=frames[a:b], pixels=pixels[a:b],
+                           true_point=true_point)
+        tracks.append(track)
+    return tuple(tracks)
 
 
 @dataclass(frozen=True)
@@ -106,29 +187,34 @@ class FeatureTrackSet:
             if type(size) is bool or not (isinstance(size, (int, np.integer)) and size >= 1):
                 raise ValueError(f"{key}: expected an integer >= 1, got {size!r}")
             object.__setattr__(self, key, int(size))
+        # the first faulty track is reported; within a track, its point id first
         n_cameras = len(self.cameras)
-        first = {}
-        for i, track in enumerate(self.tracks):
-            problem = _point_id_problem(track.point_id, i, first.setdefault(track.point_id, i))
-            if problem:
-                raise ValueError(f"tracks[{i}].point_id: {problem}")
-            # frames are strictly increasing, so the ends bound them all
-            if track.frames[0] < 0 or track.frames[-1] >= n_cameras:
-                bad = track.frames[(track.frames < 0) | (track.frames >= n_cameras)][0]
-                raise ValueError(f"track {track.point_id}: frames: frame index {bad} names "
-                                 f"no camera (the set has {n_cameras})")
+        id_fault = _point_id_fault([t.point_id for t in self.tracks])
+        frames = np.concatenate([np.empty(0, dtype=int)] + [t.frames for t in self.tracks])
+        stray = np.flatnonzero((frames < 0) | (frames >= n_cameras))[:1]
+        if len(stray):
+            ends = np.cumsum([len(t) for t in self.tracks])
+            track = int(np.searchsorted(ends, stray[0], side="right"))
+            if not id_fault or track < id_fault[0]:
+                raise ValueError(f"track {self.tracks[track].point_id}: frames: frame index "
+                                 f"{frames[stray[0]]} names no camera (the set has {n_cameras})")
+        if id_fault:
+            raise ValueError(f"tracks[{id_fault[0]}].point_id: {id_fault[1]}")
 
     def __len__(self):
         return len(self.tracks)
 
 
-def _point_id_problem(point_id: int, index: int, first: int) -> str | None:
-    """What is wrong with track ``index``'s point id, which track ``first`` was
-    the first to use, or None."""
-    if point_id < 0:
-        return f"expected an integer >= 0, got {point_id}"
-    if first != index:
-        return f"{point_id} repeats tracks[{first}].point_id"
+def _point_id_fault(point_ids: list[int]) -> tuple[int, str] | None:
+    """The first track whose point id is negative or repeats an earlier
+    track's, and what is wrong with it; None when every id is fine."""
+    first = {}
+    for i, point_id in enumerate(point_ids):
+        earlier = first.setdefault(point_id, i)
+        if point_id < 0:
+            return i, f"expected an integer >= 0, got {point_id}"
+        if earlier != i:
+            return i, f"{point_id} repeats tracks[{earlier}].point_id"
     return None
 
 
@@ -174,18 +260,16 @@ def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height
     largest = np.where(visible, pose_ids, -1).max(axis=0, initial=-1)
     smallest = np.where(visible, pose_ids, n_frames).min(axis=0, initial=n_frames)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    tracks = []
-    for vid in np.flatnonzero(largest > smallest).tolist():
-        frames = np.nonzero(visible[:, vid])[0]
-        pixels = xy_all[frames, vid]
-        if pixel_noise_sigma > 0.0:
-            pixels = pixels + pixel_noise_sigma * rng.standard_normal(pixels.shape)
-        tracks.append(Track(point_id=vid, frames=frames, pixels=pixels,
-                            true_point=verts[vid]))
-
-    return FeatureTrackSet(tracks=tuple(tracks), cameras=trajectory,
-                           width=width, height=height)
+    keep = np.flatnonzero(largest > smallest)
+    # each kept vertex's observing frames in order, vertex after vertex
+    vertex, frames = np.nonzero(visible[:, keep].T)
+    pixels = xy_all[frames, keep[vertex]]
+    if pixel_noise_sigma > 0.0:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pixels = pixels + pixel_noise_sigma * rng.standard_normal(pixels.shape)
+    bounds = np.searchsorted(vertex, np.arange(len(keep) + 1)).tolist()
+    tracks = _make_tracks(keep.tolist(), frames, pixels, bounds, list(verts[keep]))
+    return FeatureTrackSet(tracks=tracks, cameras=trajectory, width=width, height=height)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +472,8 @@ def tracks_to_json(track_set: FeatureTrackSet) -> str:
 def _tracks(items: list[jsondoc.Field], n_cameras: int) -> tuple[Track, ...]:
     """The tracks of ``items``, observing ``n_cameras`` cameras.  A track's
     checks run in this order: keys, observations, frame range, point id,
-    true point, then :class:`Track`; each runs over all the tracks at once."""
+    true point, then the observation rule of :class:`Track`; each runs over
+    all the tracks at once."""
     for t in items:
         t.object(("point_id", "observations"), ("true_point",))
     obs = jsondoc.column(items, "observations", (-1, 3))
@@ -398,18 +483,16 @@ def _tracks(items: list[jsondoc.Field], n_cameras: int) -> tuple[Track, ...]:
     if len(bad):
         raise items[bisect_right(bounds, bad[0]) - 1]["observations"].error(
             f"frame index {frames[bad[0]]:g} is not an integer in [0, {n_cameras})")
-    point_ids, first = [t["point_id"].integer() for t in items], {}
-    for i, (t, point_id) in enumerate(zip(items, point_ids)):
-        problem = _point_id_problem(point_id, i, first.setdefault(point_id, i))
-        if problem:
-            raise t["point_id"].error(problem)
+    point_ids = [t["point_id"].integer() for t in items]
+    fault = _point_id_fault(point_ids)
+    if fault:
+        raise items[fault[0]]["point_id"].error(fault[1])
     pointed = [k for k, t in enumerate(items) if t.value.get("true_point") is not None]
     points = jsondoc.column([items[k] for k in pointed], "true_point", (3,))
     true_points = dict(zip(pointed, points))
-    frames = frames.astype(int)
-    return tuple(t.make(Track, point_id, frames[a:b], obs[a:b, 1:], true_points.get(k))
-                 for k, (t, point_id, a, b)
-                 in enumerate(zip(items, point_ids, bounds, bounds[1:])))
+    return _make_tracks(point_ids, frames.astype(int), obs[:, 1:], bounds,
+                        [true_points.get(k) for k in range(len(items))],
+                        lambda i, message: items[i].error(message))
 
 
 def tracks_from_json(text: str | bytes, source: str = "track set") -> FeatureTrackSet:

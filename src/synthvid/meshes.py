@@ -8,6 +8,7 @@ centroids once, and :meth:`Mesh.facing` is the package's one back-face test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -308,10 +309,19 @@ _BUILTIN_FACTORIES = {
 }
 
 
+@functools.cache
+def _primitive(name: str) -> Mesh:
+    return _BUILTIN_FACTORIES[name]()
+
+
 def builtin_mesh(object_ref: str) -> Mesh:
-    """Resolve an object reference: a primitive name or a ``.obj`` path."""
+    """Resolve an object reference: a primitive name or a ``.obj`` path.
+
+    Each primitive is built once and then shared, which is safe because a
+    mesh's arrays are read-only; a ``.obj`` file is read on every call.
+    """
     if object_ref in _BUILTIN_FACTORIES:
-        return _BUILTIN_FACTORIES[object_ref]()
+        return _primitive(object_ref)
     if object_ref.endswith(".obj"):
         return load_obj(object_ref)
     known = ", ".join(sorted(_BUILTIN_FACTORIES))

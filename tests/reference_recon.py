@@ -1,10 +1,11 @@
-"""The per-track DLT and reprojection loops, kept as the reference oracle.
+"""The per-track generation, DLT and reprojection loops, kept as the reference oracle.
 
-``fidelity_metrics`` triangulates every track of one length with one
-stacked SVD and reprojects all kept points frame by frame.  These functions
-triangulate one track at a time and project one observation at a time,
-the module's original design.  The batched code must keep the same tracks
-and triangulate the same points bit for bit; its residuals may differ from
+``fidelity_metrics`` builds a track set from flat arrays, triangulates
+every track of one length with one stacked SVD and reprojects all kept
+points frame by frame.  These functions build one track per vertex,
+triangulate one track at a time and project one observation at a time, the
+module's original design.  The bulk code must generate the same tracks and
+triangulate the same points bit for bit; its residuals may differ from
 these in the last bits (a stacked matmul rounds differently from a
 one-point one).
 """
@@ -23,6 +24,51 @@ from synthvid.fidelity_metrics import (
     ReconMetrics,
     Track,
 )
+from synthvid.meshes import Mesh
+
+
+def generate_tracks(mesh: Mesh, trajectory: CameraTrajectory, width: int, height: int,
+                    pixel_noise_sigma: float = 0.0, seed: int = 0) -> FeatureTrackSet:
+    """Ground-truth feature tracks for every mesh vertex, one vertex at a time.
+
+    A vertex is observed in frame k when it projects inside the image with
+    positive depth and belongs to a triangle facing camera k; it is kept
+    when its observing poses differ.  Each kept vertex draws its own noise,
+    vertex after vertex.
+    """
+    verts = mesh.vertices
+    n_verts = len(verts)
+    n_frames = len(trajectory.frames)
+
+    xy_all = np.empty((n_frames, n_verts, 2))
+    visible = np.zeros((n_frames, n_verts), dtype=bool)
+    for k, camera in enumerate(trajectory.frames):
+        xy, depth, behind = camera.project(verts, width, height)
+        in_frame = (~behind) & (xy[:, 0] >= 0.0) & (xy[:, 0] < width) \
+            & (xy[:, 1] >= 0.0) & (xy[:, 1] < height)
+        vert_front = np.zeros(n_verts, dtype=bool)
+        vert_front[mesh.triangles[mesh.facing(camera.position)].ravel()] = True
+        visible[k] = in_frame & vert_front
+        xy_all[k] = xy
+
+    poses = np.array([np.concatenate([c.position, c.rotation.ravel(), [c.focal_mm]])
+                      for c in trajectory.frames]).reshape(n_frames, 13)
+    pose_ids = np.unique(poses, axis=0, return_inverse=True)[1].reshape(n_frames, 1)
+    largest = np.where(visible, pose_ids, -1).max(axis=0, initial=-1)
+    smallest = np.where(visible, pose_ids, n_frames).min(axis=0, initial=n_frames)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tracks = []
+    for vid in np.flatnonzero(largest > smallest).tolist():
+        frames = np.nonzero(visible[:, vid])[0]
+        pixels = xy_all[frames, vid]
+        if pixel_noise_sigma > 0.0:
+            pixels = pixels + pixel_noise_sigma * rng.standard_normal(pixels.shape)
+        tracks.append(Track(point_id=vid, frames=frames, pixels=pixels,
+                            true_point=verts[vid]))
+
+    return FeatureTrackSet(tracks=tuple(tracks), cameras=trajectory,
+                           width=width, height=height)
 
 
 def triangulate(track: Track, cameras: CameraTrajectory,

@@ -1,9 +1,10 @@
-"""The batched DLT and per-frame reprojection against the per-track oracle.
+"""The bulk track generator, batched DLT and per-frame reprojection against
+the per-track oracle.
 
-``fidelity_metrics`` must keep the same tracks and triangulate the same
-points bit for bit as ``reference_recon``; residuals, and with them e and
-e^, may move in the last bits because a stacked projection rounds
-differently from a one-point one.
+``fidelity_metrics`` must generate the same tracks, keep the same tracks
+and triangulate the same points bit for bit as ``reference_recon``;
+residuals, and with them e and e^, may move in the last bits because a
+stacked projection rounds differently from a one-point one.
 """
 
 import re
@@ -86,6 +87,29 @@ def test_orbit_matches_reference(obj, move, sigma):
     assert_matches_reference(tracks)
     # a pan only rotates the camera: every track is degenerate
     assert (recon_metrics(tracks).n_points == 0) == (move == "pan")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("obj", ["cube", "cylinder", "sphere", "torus"])
+def test_generated_tracks_match_the_per_vertex_reference(obj, sigma):
+    mesh = builtin_mesh(obj)
+    center, radius = bounding_sphere(mesh)
+    for seed, (position, coverage, n_frames) in enumerate((
+            ((5.0, -3.0, 2.0), 0.45, 24), ((-4.0, -6.5, 0.8), 0.6, 17),
+            ((2.5, 7.0, 2.9), 0.35, 30))):
+        cfg = make_config(movement_type=MovementType.SPIN, movement_value=360.0,
+                          focus_type=FocusType.FOLLOW, initial_position=position,
+                          coverage=coverage, n_frames=n_frames, seed=seed)
+        traj = generate_trajectory(cfg, center, radius)
+        got = generate_tracks(mesh, traj, W, H, sigma, seed=seed)
+        want = ref.generate_tracks(mesh, traj, W, H, sigma, seed=seed)
+        assert len(got) == len(want) > 0
+        assert got.cameras is want.cameras and (got.width, got.height) == (W, H)
+        for a, b in zip(got.tracks, want.tracks):
+            assert type(a.point_id) is int and a.point_id == b.point_id
+            for key in ("frames", "pixels", "true_point"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (a.point_id, key)
 
 
 def _rig(positions, targets):

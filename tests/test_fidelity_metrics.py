@@ -14,6 +14,7 @@ from synthvid.fidelity_metrics import (
     EmptyTrackSetError,
     FeatureTrackSet,
     Track,
+    _make_tracks,
     generate_tracks,
     metrics_to_json_dict,
     read_tracks,
@@ -122,6 +123,90 @@ def test_track_set_rejects_a_frame_with_no_camera(frames, bad):
     with pytest.raises(ValueError) as info:
         FeatureTrackSet((good, stray), traj, W, H)
     assert str(info.value) == f"track 8: frames: frame index {bad} names no camera (the set has 3)"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # a fractional frame was truncated to an integer one
+    ("frames", [0.5, 1.7], "frames: expected a n array of integers, got float64 of shape (2,)"),
+    # a 2-D frame list read as two observations of two frames each
+    ("frames", [[0, 1], [2, 3]],
+     "frames: expected a n array of integers, got int64 of shape (2, 2)"),
+    ("frames", [True, False], "frames: expected a n array of integers, got bool of shape (2,)"),
+    ("pixels", [[1.0, 2.0, 3.0, 4.0]],
+     "pixels: expected a 2 x 2 array of numbers, got float64 of shape (1, 4)"),
+    ("pixels", [1.0, 2.0, 3.0, 4.0],
+     "pixels: expected a 2 x 2 array of numbers, got float64 of shape (4,)"),
+    ("pixels", [["1", "2"], ["3", "4"]],
+     "pixels: expected a 2 x 2 array of numbers, got <U1 of shape (2, 2)"),
+    ("pixels", [[1.0, 2.0], [3.0]], "pixels: expected a 2 x 2 array of numbers, got ragged lists"),
+    ("true_point", [1.0, 2.0, 3.0, 4.0],
+     "true_point: expected a 3 array of numbers, got float64 of shape (4,)"),
+    ("true_point", [[1.0, 2.0, 3.0]],
+     "true_point: expected a 3 array of numbers, got float64 of shape (1, 3)"),
+])
+def test_track_rejects_malformed_input_naming_the_field(field, value, message):
+    fields = dict(point_id=7, frames=[0, 2], pixels=[[1.0, 2.0], [3.0, 4.0]],
+                  true_point=[0.1, 0.2, 0.3])
+    Track(**fields)
+    with pytest.raises(ValueError) as info:
+        Track(**{**fields, field: value})
+    assert str(info.value) == f"track 7: {message}"
+
+
+def test_bulk_observation_rule_matches_the_one_track_rule():
+    # random sets of 1 to 4 tracks of 0 to 3 observations, with falling or
+    # repeated frames and NaN pixels: built at once, they must raise for the
+    # track that fails first when built one by one, with its message, or
+    # equal those tracks
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(400):
+        lengths = rng.integers(0, 4, rng.integers(1, 5))
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        frames = np.cumsum(rng.choice([-1, 0, 1, 2], size=bounds[-1], p=[0.05, 0.05, 0.45, 0.45]))
+        pixels = rng.normal(size=(bounds[-1], 2))
+        pixels[rng.random(pixels.shape) < 0.04] = np.nan
+        point_ids = list(range(10, 10 + len(lengths)))
+        want = []
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            try:
+                want.append(Track(point_ids[i], frames[a:b], pixels[a:b]))
+            except ValueError as exc:
+                want = f"tracks[{i}]: {exc}"
+                break
+        try:
+            got = _make_tracks(point_ids, frames, pixels, bounds, [None] * len(lengths),
+                               lambda i, message: ValueError(f"tracks[{i}]: {message}"))
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+            outcomes.add(want.split()[-1])
+        else:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.point_id == b.point_id and a.true_point is None
+                assert np.array_equal(a.frames, b.frames) and np.array_equal(a.pixels, b.pixels)
+            outcomes.add("built")
+    # every outcome came up: built, too short, not increasing, not finite
+    assert outcomes == {"built", "observations", "increasing", "finite"}
+
+
+def test_track_set_reports_its_first_faulty_track_whatever_the_fault():
+    # a frame with no camera and a repeated point id are checked over the
+    # whole set, each at once; the first faulty track is still the one
+    # reported, and within one track its point id comes first
+    traj = _trajectory(MovementType.SPIN, 90.0, n_frames=3)
+    pixels = [[1.0, 2.0], [3.0, 4.0]]
+    good, stray = Track(4, [0, 2], pixels), Track(8, [1, 3], pixels)
+    repeat = "tracks[1].point_id: 4 repeats tracks[0].point_id"
+    for tracks, message in [
+            ((good, stray, good), "track 8: frames: frame index 3 names no camera (the set has 3)"),
+            ((good, good, stray), repeat),
+            ((good, dataclasses.replace(stray, point_id=4)), repeat)]:
+        with pytest.raises(ValueError) as info:
+            FeatureTrackSet(tracks, traj, W, H)
+        assert str(info.value) == message
 
 
 # -- triangulation --

@@ -3,7 +3,7 @@ import pytest
 
 from synthvid import micro_renderer
 from synthvid.camera_rig import PinholeCamera, focal_from_coverage, look_at
-from synthvid.meshes import Mesh, cube, load_obj, uv_sphere
+from synthvid.meshes import Mesh, builtin_mesh, cube, cylinder, load_obj, torus, uv_sphere
 from synthvid.micro_renderer import (
     Frame,
     emit_engine_script,
@@ -334,6 +334,22 @@ def test_obj_loader_negative_indices():
     mesh = load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
     assert len(mesh.triangles) == 1
     assert (mesh.triangles[0] == [0, 1, 2]).all()
+
+
+def test_builtin_primitives_are_built_once_and_obj_files_read_each_time(tmp_path):
+    for name, factory in (("cube", cube), ("sphere", uv_sphere), ("torus", torus),
+                          ("cylinder", cylinder)):
+        mesh = builtin_mesh(name)
+        assert builtin_mesh(name) is mesh
+        fresh = factory()
+        for key in ("vertices", "triangles", "colors", "normals", "centroids"):
+            assert np.array_equal(getattr(mesh, key), getattr(fresh, key))
+            assert not getattr(mesh, key).flags.writeable   # so sharing is safe
+    path = tmp_path / "tri.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    first = builtin_mesh(str(path))
+    path.write_text("v 0 0 0\nv 2 0 0\nv 0 2 0\nf 1 2 3\n")
+    assert builtin_mesh(str(path)).vertices[1, 0] == 2.0 != first.vertices[1, 0]
 
 
 def test_obj_loader_drops_degenerate_faces():
