@@ -57,6 +57,21 @@ def _resolve_mesh(cfg: SceneConfig, mesh_path=None):
     return builtin_mesh(cfg.object_ref)
 
 
+# the shape of every toy model: 3-D points (circle in x/y, artifact axis z)
+# and the toy condition labels
+_TOY_DIMS = {"data_dim": 3, "cond_dim": flowlab.TOY_COND_DIM}
+
+
+def _load_toy_checkpoint(path) -> flowlab.VelocityModel:
+    """The model in ``path``; an error names the file and a header field off the toy shape."""
+    model, header = flowlab.load_checkpoint(path)
+    for field, want in _TOY_DIMS.items():
+        if header[field] != want:
+            raise jsondoc.FormatError(
+                f"{path}: header: {field}: the toy models need {want}, got {header[field]}")
+    return model
+
+
 def _write_json(path, doc) -> None:
     Path(path).write_text(jsondoc.dumps(doc))
 
@@ -70,7 +85,10 @@ def _cmd_sample_configs(args) -> int:
     source = None
     if args.preset_file:
         added = decode_preset(Path(args.preset_file).read_bytes(), source=args.preset_file)
-        library.add(added)
+        try:
+            library.add(added)
+        except ValueError as exc:
+            raise ValueError(f"{args.preset_file}: name: {exc}") from None
         if added.name == args.preset:
             source = args.preset_file
     preset = library.get(args.preset)
@@ -156,10 +174,9 @@ def _cmd_train_toy(args) -> int:
         dataset = flowlab.ToyDataset(dataset.points,
                                      np.full(len(dataset), args.label))
     if args.init:
-        model, _ = flowlab.load_checkpoint(args.init)
+        model = _load_toy_checkpoint(args.init)
     else:
-        model = flowlab.VelocityModel(data_dim=3, cond_dim=flowlab.TOY_COND_DIM,
-                                      seed=stream_seed(args.seed, "init"))
+        model = flowlab.VelocityModel(**_TOY_DIMS, seed=stream_seed(args.seed, "init"))
     cfg = flowlab.TrainConfig(learning_rate=args.lr, steps=args.steps,
                               batch_size=args.batch, cond_dropout=args.dropout,
                               seed=stream_seed(args.seed, "train"))
@@ -172,8 +189,7 @@ def _cmd_train_toy(args) -> int:
 
 
 def _cmd_sample_simdrop(args) -> int:
-    gen, _ = flowlab.load_checkpoint(args.gen)
-    ref, _ = flowlab.load_checkpoint(args.ref)
+    gen, ref = _load_toy_checkpoint(args.gen), _load_toy_checkpoint(args.ref)
     reports = []
     for alpha in args.alpha:
         params = guidance.default_guidance_params(alpha=alpha, beta=args.beta)
@@ -200,6 +216,8 @@ def _cmd_evaluate(args) -> int:
         track_set = fidelity_metrics.generate_tracks(
             mesh, trajectory, cfg.render.width, cfg.render.height,
             pixel_noise_sigma=args.noise, seed=args.seed)
+    if len(track_set) == 0:
+        raise ValueError(f"{args.tracks or args.config}: track set is empty")
     metrics = fidelity_metrics.recon_metrics(track_set)
     doc = fidelity_metrics.metrics_to_json_dict(metrics)
     if args.report:

@@ -7,8 +7,10 @@ not pretty ones.  :meth:`Mesh.facing` culls back faces, and
 :meth:`PinholeCamera.to_camera` and :func:`~synthvid.camera_rig.to_pixels` map
 vertices to camera space and pixels; coverage is sampled at pixel centers.
 
-A frame's draw list holds the object's triangles, then the cached room's,
-and is clipped and rasterized together, with no per-frame mesh: a span
+A ``Basic`` scene's room is built once per scene colour, and every frame
+shades it with the object by one rule.  A frame's draw list holds the
+object's triangles, then the room's, and is clipped and rasterized
+together, with no per-frame mesh: a span
 rasterizer gives each pixel row of each triangle a conservative x-span and
 tests every pixel center in it with exact edge functions, in batches under
 a fixed fragment budget.  Its frames equal, bit for bit, those of drawing
@@ -319,56 +321,31 @@ def _room(scene_color: tuple) -> Mesh:
     return room_box(scene_color, ROOM_HALF_EXTENT)
 
 
-# Clipped Lambert colours of each room, per (scene colour, lighting bits):
-# the room never moves, so a clip shades it once.  The key holds the float
-# bits of every lighting value the shading reads, since a light's position
-# may be an unhashable list.
-_ROOM_COLORS: dict = {}
-
-
-def _room_colors(scene_color: tuple, camera_position, lighting: LightingSpec) -> np.ndarray:
-    values = [lighting.ambient_intensity]
-    for light in lighting.lights:
-        values += [light.position, light.color_temp, light.intensity]
-    key = (scene_color, tuple(np.asarray(v, dtype=float).tobytes() for v in values))
-    colors = _ROOM_COLORS.get(key)
-    if colors is None:
-        shaded, _ = shaded_triangle_colors(_room(scene_color), camera_position, lighting)
-        colors = np.clip(shaded, 0.0, 1.0)
-        colors.flags.writeable = False
-        if len(_ROOM_COLORS) >= 8:   # as many as _room keeps
-            del _ROOM_COLORS[next(iter(_ROOM_COLORS))]
-        _ROOM_COLORS[key] = colors
-    return colors
-
-
 def _render_owners(mesh: Mesh, camera: PinholeCamera, lighting: LightingSpec,
                    env: EnvSpec, width: int, height: int):
     """One frame as ``(palette, owner)``: each pixel's colour is ``palette[owner]``.
 
     The palette holds the draw list's clipped colours, then the background.
     """
-    shaded, facing = shaded_triangle_colors(mesh, camera.position, lighting)
-    parts = [(mesh, np.clip(shaded, 0.0, 1.0), facing)]
+    parts = [mesh]
     if env.scene_type is SceneType.BASIC:
-        scene_color = tuple(env.scene_color)
-        room = _room(scene_color)
-        parts.append((room, _room_colors(scene_color, camera.position, lighting),
-                      room.facing(camera.position)))
+        parts.append(_room(tuple(env.scene_color)))
 
     # draw list: the pieces of each part's facing triangles, in mesh order,
     # the object's before the room's
     pieces, colors = [], []
-    for part, part_colors, facing in parts:
+    for part in parts:
+        shaded, facing = shaded_triangle_colors(part, camera.position, lighting)
         facing_ids = np.flatnonzero(facing)
         cam_space = camera.to_camera(part.vertices)
         part_pieces, source = _clip_near(cam_space[part.triangles[facing_ids]])
         pieces.append(part_pieces)
-        colors.append(part_colors[facing_ids[source]])
+        colors.append(shaded[facing_ids[source]])
 
-    colors.append(_background_color(env).reshape(1, 3))
     owner = _rasterize(np.concatenate(pieces), width, height, camera.focal_px(height))
-    return np.concatenate(colors), owner
+    # clipping is elementwise, so clipping after the gather keeps every bit
+    palette = np.clip(np.concatenate(colors), 0.0, 1.0)
+    return np.vstack([palette, _background_color(env)]), owner
 
 
 def animate_mesh(mesh: Mesh, animation, center, t_seconds: float) -> Mesh:

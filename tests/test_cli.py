@@ -174,6 +174,35 @@ def test_sample_simdrop_rejects_a_negative_sample_count(tmp_path, capsys):
     assert not report.exists()
 
 
+
+@pytest.mark.parametrize("dims, bad, field, got", [
+    ({"gen": (2, TOY_COND_DIM), "ref": (2, TOY_COND_DIM)}, "gen", "data_dim", 2),
+    ({"gen": (3, TOY_COND_DIM), "ref": (3, 1)}, "ref", "cond_dim", 1),
+])
+def test_sample_simdrop_rejects_a_checkpoint_off_the_toy_shape(tmp_path, capsys, dims, bad,
+                                                               field, got):
+    for name, (data_dim, cond_dim) in dims.items():
+        save_checkpoint(VelocityModel(data_dim=data_dim, cond_dim=cond_dim, seed=1),
+                        tmp_path / f"{name}.ckpt")
+    report = tmp_path / "report.json"
+    assert run("sample-simdrop", "--gen", str(tmp_path / "gen.ckpt"),
+               "--ref", str(tmp_path / "ref.ckpt"), "--n", "10", "--steps", "5",
+               "--report", str(report)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / bad}.ckpt: header: {field}: the toy models need 3, got {got}\n")
+    assert not report.exists()
+
+
+def test_train_toy_rejects_a_2d_init_checkpoint(tmp_path, capsys):
+    init = tmp_path / "init.ckpt"
+    save_checkpoint(VelocityModel(data_dim=2, cond_dim=TOY_COND_DIM, seed=1), init)
+    out = tmp_path / "m.ckpt"
+    assert run("train-toy", "--dataset", "real", "--steps", "2", "--init", str(init),
+               "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {init}: header: data_dim: the toy models need 3, got 2\n")
+    assert not out.exists()
+
 def test_train_toy_checkpoints_reproducible(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     for path in (a, b):
@@ -245,6 +274,39 @@ def test_evaluate_bad_tracks_file_names_file_and_field(tmp_path, capsys):
     assert run("evaluate", "--tracks", str(path)) == 1
     assert capsys.readouterr().err == f"error: {path}: cameras[2].focal_mm: missing\n"
 
+
+
+def test_evaluate_empty_tracks_file_names_file(tmp_path, capsys):
+    from synthvid.fidelity_metrics import generate_tracks, tracks_to_json
+    from synthvid.meshes import uv_sphere
+    from conftest import make_config
+
+    mesh = uv_sphere()
+    traj = generate_trajectory(make_config(n_frames=8), *bounding_sphere(mesh))
+    doc = json.loads(tracks_to_json(generate_tracks(mesh, traj, 160, 120, 0.0, seed=1)))
+    doc["tracks"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert run("evaluate", "--tracks", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: track set is empty\n"
+
+
+def test_evaluate_config_whose_object_is_never_seen_names_file(tmp_path, capsys):
+    from conftest import make_config
+    from synthvid.scene_config import MovementType, encode_config
+
+    # one triangle whose front faces away from the camera in every frame
+    mesh_path = tmp_path / "away.obj"
+    mesh_path.write_text("v -1 0 0\nv 1 0 0\nv 0 0 1\nf 1 3 2\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(encode_config(make_config(
+        n_frames=8, movement_type=MovementType.DOLLY, movement_value=1.0)))
+    assert run("evaluate", "--config", str(cfg_path), "--mesh", str(mesh_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg_path}: track set is empty\n"
 
 def test_build_manifest_missing_pool_directory_exits_1(tmp_path, capsys):
     real = tmp_path / "real"
@@ -343,6 +405,18 @@ def test_preset_breaking_a_rule_across_fields_names_file(tmp_path, capsys):
         "render: width*height must not exceed 4000000\n")
     assert not out.exists()
 
+
+
+def test_preset_file_naming_a_built_in_names_file_and_field(tmp_path, capsys):
+    from synthvid.param_sampler import PresetLibrary, encode_preset
+
+    path = tmp_path / "p.json"
+    path.write_text(encode_preset(PresetLibrary.default().get("random")))
+    out = tmp_path / "out"
+    assert run("sample-configs", "--preset-file", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: name: cannot replace built-in preset 'random'\n")
+    assert not out.exists()
 
 def test_registry_with_unknown_kind_names_file_and_field(tmp_path, config_file, capsys):
     path, args = _caption_args(tmp_path, config_file,

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from synthvid import micro_renderer
 from synthvid.camera_rig import PinholeCamera, focal_from_coverage, look_at
 from synthvid.meshes import Mesh, builtin_mesh, cube, cylinder, load_obj, torus, uv_sphere
 from synthvid.micro_renderer import (
@@ -225,7 +224,7 @@ def test_static_basic_clip_builds_no_mesh_per_frame(monkeypatch):
     assert built == []
 
 
-def test_room_colors_are_cached_per_scene_color_and_lighting():
+def test_room_frames_do_not_depend_on_render_order():
     # two lightings that differ only in a light position given as a list,
     # which cannot be hashed, and two scene colours
     def lighting(x):
@@ -239,15 +238,11 @@ def test_room_colors_are_cached_per_scene_color_and_lighting():
         env = EnvSpec(SceneType.BASIC, scene_color=scene_color)
         return frame_sha256(render_frame(cube(), camera_at((1.0, -6.0, 1.5)), spec, env, W, H))
 
-    uncached = []
-    for scene_color, spec in renders:
-        micro_renderer._ROOM_COLORS.clear()
-        uncached.append(frame(scene_color, spec))
-    assert len(set(uncached)) == len(renders)
+    first = [frame(scene_color, spec) for scene_color, spec in renders]
+    assert len(set(first)) == len(renders)
     for order in (renders, renders[::-1]):
-        micro_renderer._ROOM_COLORS.clear()
         got = [frame(scene_color, spec) for scene_color, spec in order]
-        assert got == (uncached if order is renders else uncached[::-1])
+        assert got == (first if order is renders else first[::-1])
 
 
 def test_mesh_face_geometry_is_read_only_and_unit():
