@@ -99,6 +99,11 @@ class PinholeCamera:
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float).reshape(3).copy()
         rot = np.asarray(self.rotation, dtype=float).reshape(3, 3).copy()
+        for name, values in (("position", pos), ("rotation", rot.flat),
+                             ("focal_mm", [self.focal_mm]),
+                             ("sensor_height_mm", [self.sensor_height_mm])):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite")
         err = np.abs(rot.T @ rot - np.eye(3)).max()
         if err > _ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max deviation {err:g})")

@@ -167,20 +167,34 @@ _TOY_DATASETS = {
 }
 
 
+# the train-toy flag that sets each flowlab setting, so a fault names the flag;
+# `learning_rate` (--lr) and a negative `n` (--n-points) keep their field-named
+# messages, which the CLI tests pin word for word
+_TRAIN_TOY_FLAGS = {"synthetic_share": "--ratio", "dataset size": "--n-points",
+                    "labels": "--label", "steps": "--steps", "batch_size": "--batch",
+                    "cond_dropout": "--dropout"}
+
+
 def _cmd_train_toy(args) -> int:
-    dataset = _TOY_DATASETS[args.dataset](args.n_points, stream_seed(args.seed, "data"),
-                                          args.ratio)
-    if args.label is not None:
-        dataset = flowlab.ToyDataset(dataset.points,
-                                     np.full(len(dataset), args.label))
-    if args.init:
-        model = _load_toy_checkpoint(args.init)
-    else:
-        model = flowlab.VelocityModel(**_TOY_DIMS, seed=stream_seed(args.seed, "init"))
-    cfg = flowlab.TrainConfig(learning_rate=args.lr, steps=args.steps,
-                              batch_size=args.batch, cond_dropout=args.dropout,
-                              seed=stream_seed(args.seed, "train"))
-    model, trace = flowlab.train(model, dataset, cfg)
+    try:
+        dataset = _TOY_DATASETS[args.dataset](args.n_points, stream_seed(args.seed, "data"),
+                                              args.ratio)
+        if args.label is not None:
+            dataset = flowlab.ToyDataset(dataset.points,
+                                         np.full(len(dataset), args.label))
+        if args.init:
+            model = _load_toy_checkpoint(args.init)
+        else:
+            model = flowlab.VelocityModel(**_TOY_DIMS, seed=stream_seed(args.seed, "init"))
+        cfg = flowlab.TrainConfig(learning_rate=args.lr, steps=args.steps,
+                                  batch_size=args.batch, cond_dropout=args.dropout,
+                                  seed=stream_seed(args.seed, "train"))
+        model, trace = flowlab.train(model, dataset, cfg)
+    except flowlab.SettingError as exc:
+        if exc.setting not in _TRAIN_TOY_FLAGS:
+            raise
+        raise ValueError(f"{_TRAIN_TOY_FLAGS[exc.setting]}: expected {exc.expected}, "
+                         f"got {exc.value}") from None
     flowlab.save_checkpoint(model, args.out, seed=args.seed, train_steps=args.steps)
     tail = float(trace[-100:].mean()) if len(trace) else float("nan")
     print(f"trained {args.steps} steps on {args.dataset}; "

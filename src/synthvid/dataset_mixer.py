@@ -100,8 +100,7 @@ def build_manifest(synthetic, real, schedule: MixSchedule) -> list[ManifestEntry
     return entries
 
 
-def schedule_grid(ratios=DEFAULT_RATIOS, step_counts=DEFAULT_STEP_COUNTS,
-                  base_seed: int = 0) -> list[MixSchedule]:
+def schedule_grid(ratios=DEFAULT_RATIOS, step_counts=DEFAULT_STEP_COUNTS) -> list[MixSchedule]:
     """Row-major Cartesian product of ratios x step counts.
 
     Each cell gets its own derived seed so the schedules are independent.
@@ -116,7 +115,7 @@ def schedule_grid(ratios=DEFAULT_RATIOS, step_counts=DEFAULT_STEP_COUNTS,
     for i, ratio in enumerate(ratios):
         for j, steps in enumerate(step_counts):
             grid.append(MixSchedule(ratio=ratio, total_steps=steps,
-                                    seed=derive_seed(base_seed, i * len(step_counts) + j)))
+                                    seed=derive_seed(0, i * len(step_counts) + j)))
     return grid
 
 

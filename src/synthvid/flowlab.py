@@ -44,6 +44,7 @@ __all__ = [
     "REAL_LABEL",
     "TAGGED_SYNTHETIC_LABEL",
     "REFERENCE_LABEL",
+    "SettingError",
     "TOY_COND_DIM",
     "ToyDataset",
     "TrainConfig",
@@ -82,6 +83,18 @@ class DivergenceError(RuntimeError):
 
 class NonFiniteStateError(RuntimeError):
     """Sampler state became non-finite."""
+
+
+class SettingError(ValueError):
+    """A setting outside its legal range: ``<setting>: expected <expected>, got <value>``.
+
+    The three parts are kept as attributes, so a caller that set the value
+    under another name (a command-line flag) can report the fault by that name.
+    """
+
+    def __init__(self, setting: str, expected: str, value):
+        super().__init__(f"{setting}: expected {expected}, got {value}")
+        self.setting, self.expected, self.value = setting, expected, value
 
 
 def _weight_shapes(data_dim: int, cond_dim: int, hidden: int) -> list[tuple[int, ...]]:
@@ -281,13 +294,13 @@ def _circle_points(n, rng, angle_high, z_mean):
 def _stream(n: int, seed: int) -> np.random.Generator:
     """The seeded stream of a toy dataset of ``n`` points; rejects ``n < 0``."""
     if n < 0:
-        raise ValueError(f"n: expected a count >= 0, got {n}")
+        raise SettingError("n", "a count >= 0", n)
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def toy_real_dataset(n: int, seed: int, label: int = REAL_LABEL) -> ToyDataset:
+def toy_real_dataset(n: int, seed: int) -> ToyDataset:
     """Half circle (angles 0..180 degrees), artifact coordinate z ~ N(0, 0.1^2)."""
-    return ToyDataset(_circle_points(n, _stream(n, seed), np.pi, 0.0), np.full(n, label))
+    return ToyDataset(_circle_points(n, _stream(n, seed), np.pi, 0.0), np.full(n, REAL_LABEL))
 
 
 def toy_synthetic_dataset(n: int, seed: int,
@@ -300,7 +313,7 @@ def toy_synthetic_dataset(n: int, seed: int,
 def toy_mixed_dataset(n: int, seed: int, synthetic_share: float = 0.5) -> ToyDataset:
     """Real points (label 0) blended with tagged synthetic points (label 1)."""
     if not (0.0 <= synthetic_share <= 1.0):
-        raise ValueError("synthetic_share must lie in [0, 1]")
+        raise SettingError("synthetic_share", "a number in [0, 1]", synthetic_share)
     rng = _stream(n, seed)
     n_syn = int(round(synthetic_share * n))
     real = _circle_points(n - n_syn, rng, np.pi, 0.0)
@@ -326,14 +339,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:   # false for NaN
-            raise ValueError(
-                f"learning_rate: expected a finite number > 0, got {self.learning_rate}")
+            raise SettingError("learning_rate", "a finite number > 0", self.learning_rate)
         if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+            raise SettingError("steps", "a count >= 0", self.steps)
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise SettingError("batch_size", "a count >= 1", self.batch_size)
         if not (0.0 <= self.cond_dropout < 1.0):
-            raise ValueError("cond_dropout must lie in [0, 1)")
+            raise SettingError("cond_dropout", "a number in [0, 1)", self.cond_dropout)
 
 
 def train(model: VelocityModel, dataset: ToyDataset, cfg: TrainConfig):
@@ -345,9 +357,11 @@ def train(model: VelocityModel, dataset: ToyDataset, cfg: TrainConfig):
     The input model is left untouched.  Deterministic given ``cfg.seed``.
     """
     if len(dataset) == 0:
-        raise ValueError("dataset must be nonempty")
-    if (dataset.labels < 0).any() or (dataset.labels >= model.cond_dim).any():
-        raise ValueError(f"dataset labels must lie in [0, {model.cond_dim})")
+        raise SettingError("dataset size", "a count >= 1", 0)
+    outside = (dataset.labels < 0) | (dataset.labels >= model.cond_dim)
+    if outside.any():
+        raise SettingError("labels", f"a label in [0, {model.cond_dim})",
+                           int(dataset.labels[outside][0]))
     if dataset.points.shape[1] != model.data_dim:
         raise ValueError(f"dataset points have dimension {dataset.points.shape[1]}, "
                          f"expected the model's {model.data_dim}")

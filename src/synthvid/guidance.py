@@ -181,8 +181,7 @@ def run_simdrop_experiment(gen: VelocityModel, ref: VelocityModel,
 
 def train_transfer_models(seed: int, n_points: int = 4000,
                           base_steps: int = 3000, gen_steps: int = 4000,
-                          ref_steps: int = 1500, batch_size: int = 64,
-                          learning_rate: float = 2e-3):
+                          ref_steps: int = 1500, batch_size: int = 64):
     """Train the (base, generation, reference) model triple for the toy task.
 
     * base: fresh model on real data only (condition dropout on, so the null
@@ -192,6 +191,7 @@ def train_transfer_models(seed: int, n_points: int = 4000,
       label with condition dropout off, leaving the null token anchored at
       the real-data behavior it inherited.
     """
+    learning_rate = 2e-3
     base_model = VelocityModel(data_dim=3, cond_dim=TOY_COND_DIM, seed=stream_seed(seed, "init"))
 
     real = toy_real_dataset(n_points, stream_seed(seed, "real-data"))

@@ -185,9 +185,6 @@ class Field:
             raise self._child(key, None).error("missing")
         return self._child(key, self.value[key])
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._mapping()
-
     def get(self, key: str, default=None) -> "Field":
         """Member ``key``, or ``default`` in its place when the key is absent."""
         return self._child(key, self._mapping().get(key, default))

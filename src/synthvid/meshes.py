@@ -1,9 +1,12 @@
-"""Triangle meshes: procedural primitives, a minimal OBJ loader, helpers.
+"""Triangle meshes: fixed primitives, a minimal OBJ file loader, helpers.
 
-Meshes are plain triangle soups with one flat color per triangle.  Loaders
-and primitive constructors filter zero-area triangles so the rasterizer
-never sees a degenerate face.  A mesh computes its unit face normals and
-centroids once, and :meth:`Mesh.facing` is the package's one back-face test.
+Meshes are plain triangle soups with one flat color per triangle.  The
+primitives are fixed shapes centred on the origin; callers set only the
+sphere's tessellation and the room's size and colour.  :func:`load_obj` reads
+a file.  Loaders and primitive constructors filter zero-area triangles so the
+rasterizer never sees a degenerate face.  A mesh computes its unit face
+normals and centroids once, and :meth:`Mesh.facing` is the package's one
+back-face test.
 """
 
 from __future__ import annotations
@@ -138,17 +141,14 @@ def cube(size: float = 2.0, face_colors=CUBE_FACE_COLORS) -> Mesh:
     return _build(v, tris, colors)
 
 
-def uv_sphere(radius: float = 1.0, n_lat: int = 12, n_lon: int = 24, color=GRAY) -> Mesh:
+def uv_sphere(n_lat: int = 12, n_lon: int = 24) -> Mesh:
+    """Unit sphere: ``n_lat`` rings from pole to pole, ``n_lon`` segments round."""
     verts = []
     for i in range(n_lat + 1):
         phi = np.pi * i / n_lat  # 0 at +z pole
         for j in range(n_lon):
             theta = 2.0 * np.pi * j / n_lon
-            verts.append([
-                radius * np.sin(phi) * np.cos(theta),
-                radius * np.sin(phi) * np.sin(theta),
-                radius * np.cos(phi),
-            ])
+            verts.append([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)])
     tris = []
     for i in range(n_lat):
         for j in range(n_lon):
@@ -157,19 +157,20 @@ def uv_sphere(radius: float = 1.0, n_lat: int = 12, n_lon: int = 24, color=GRAY)
             c = (i + 1) * n_lon + (j + 1) % n_lon
             d = (i + 1) * n_lon + j
             tris += [(a, d, c), (a, c, b)]
-    colors = [color] * len(tris)
+    colors = [GRAY] * len(tris)
     return _build(verts, tris, colors)
 
 
-def torus(major_radius: float = 1.0, minor_radius: float = 0.4,
-          n_major: int = 24, n_minor: int = 12, color=GRAY) -> Mesh:
+def torus() -> Mesh:
+    """Ring of radius 1 round the z axis, tube radius 0.4, 24 x 12 quads."""
+    n_major, n_minor, tube = 24, 12, 0.4
     verts = []
     for i in range(n_major):
         u = 2.0 * np.pi * i / n_major
         for j in range(n_minor):
             v = 2.0 * np.pi * j / n_minor
-            r = major_radius + minor_radius * np.cos(v)
-            verts.append([r * np.cos(u), r * np.sin(u), minor_radius * np.sin(v)])
+            r = 1.0 + tube * np.cos(v)
+            verts.append([r * np.cos(u), r * np.sin(u), tube * np.sin(v)])
     tris = []
     for i in range(n_major):
         for j in range(n_minor):
@@ -178,21 +179,22 @@ def torus(major_radius: float = 1.0, minor_radius: float = 0.4,
             c = ((i + 1) % n_major) * n_minor + (j + 1) % n_minor
             d = i * n_minor + (j + 1) % n_minor
             tris += [(a, b, c), (a, c, d)]
-    colors = [color] * len(tris)
+    colors = [GRAY] * len(tris)
     return _build(verts, tris, colors)
 
 
-def cylinder(radius: float = 1.0, height: float = 2.0, n_seg: int = 24, color=GRAY) -> Mesh:
-    half = height / 2.0
+def cylinder() -> Mesh:
+    """Capped cylinder of radius 1 from z = -1 to z = 1, 24 segments round."""
+    n_seg = 24
     verts = []
-    for z in (-half, half):
+    for z in (-1.0, 1.0):
         for j in range(n_seg):
             theta = 2.0 * np.pi * j / n_seg
-            verts.append([radius * np.cos(theta), radius * np.sin(theta), z])
+            verts.append([np.cos(theta), np.sin(theta), z])
     bottom_center = len(verts)
-    verts.append([0.0, 0.0, -half])
+    verts.append([0.0, 0.0, -1.0])
     top_center = len(verts)
-    verts.append([0.0, 0.0, half])
+    verts.append([0.0, 0.0, 1.0])
 
     tris = []
     for j in range(n_seg):
@@ -201,15 +203,16 @@ def cylinder(radius: float = 1.0, height: float = 2.0, n_seg: int = 24, color=GR
         tris += [(a, b, c), (a, c, d)]           # side
         tris.append((bottom_center, b, a))       # bottom cap (faces -z)
         tris.append((top_center, n_seg + j, n_seg + (j + 1) % n_seg))  # top cap
-    colors = [color] * len(tris)
+    colors = [GRAY] * len(tris)
     return _build(verts, tris, colors)
 
 
-def room_box(scene_color, half_extent: float = 20.0) -> Mesh:
+def room_box(scene_color, half_extent: float) -> Mesh:
     """Axis-aligned room enclosing the scene, triangles facing inward.
 
-    Walls are tessellated into a grid so the near-plane clipper only drops
-    small pieces when the camera sits close to a wall.
+    Each wall is split into a grid of 32 triangles for shading: a triangle
+    gets one Lambert shade at its centroid, so the grid is what lets the light
+    vary across a wall.  The near-plane clipper clips exactly and needs no grid.
     """
     box = cube(size=2.0 * half_extent, face_colors=[scene_color] * 6)
     # flip winding so faces point inward
@@ -217,7 +220,7 @@ def room_box(scene_color, half_extent: float = 20.0) -> Mesh:
     return _subdivide(Mesh(box.vertices, tris, box.colors), rounds=2)
 
 
-def _subdivide(mesh: Mesh, rounds: int = 1) -> Mesh:
+def _subdivide(mesh: Mesh, rounds: int) -> Mesh:
     """Split each triangle at edge midpoints (4-way), applied ``rounds`` times."""
     verts = [tuple(v) for v in mesh.vertices]
     tris = [tuple(t) for t in mesh.triangles]
@@ -245,18 +248,15 @@ def _subdivide(mesh: Mesh, rounds: int = 1) -> Mesh:
 # OBJ subset loader
 
 
-def load_obj(source, color=GRAY) -> Mesh:
-    """Load the v/f subset of a Wavefront OBJ file (path or text).
+def load_obj(path) -> Mesh:
+    """Load the v/f subset of the Wavefront OBJ file at ``path``.
 
     Understands ``v x y z`` and ``f`` lines with plain or slash-qualified
     indices; polygons are fan-triangulated, everything else is ignored.  A
     malformed line raises ``ValueError`` naming the file, the line and the
     problem.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        where, text = str(source), Path(source).read_text()
-    else:
-        where, text = "OBJ text", str(source)
+    where, text = str(path), Path(path).read_text()
 
     verts: list[list[float]] = []
     faces: list[tuple[int, list[int], list[int]]] = []  # line, indices as written, 0-based indices
@@ -297,7 +297,7 @@ def load_obj(source, color=GRAY) -> Mesh:
                                  f"(indices run from 1 to {len(verts)}, or back from -1)")
         for k in range(1, len(idx) - 1):
             tris.append((idx[0], idx[k], idx[k + 1]))
-    colors = [color] * len(tris)
+    colors = [GRAY] * len(tris)
     return _build(verts, tris, colors)
 
 

@@ -247,6 +247,23 @@ def test_pinhole_camera_rejects_reflection():
         PinholeCamera(position=np.zeros(3), rotation=flipped, focal_mm=50.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("position", (0.0, np.nan, 0.0)),
+    ("position", (np.inf, 0.0, 0.0)),
+    ("rotation", np.full((3, 3), np.nan)),   # NaN slips past a `deviation > tol` test
+    ("rotation", np.diag([1.0, 1.0, np.nan])),
+    ("focal_mm", np.inf),
+    ("focal_mm", np.nan),
+    ("sensor_height_mm", np.inf),
+])
+def test_pinhole_camera_rejects_a_non_finite_field(field, value):
+    fields = dict(position=np.zeros(3), rotation=np.eye(3), focal_mm=50.0,
+                  sensor_height_mm=24.0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        PinholeCamera(**fields)
+
+
 def test_projection_matrix_agrees_with_project(rng):
     # one model, two forms: dehomogenized P @ [X, 1] equals project(X)
     width, height = 160, 120

@@ -162,6 +162,22 @@ def test_train_toy_rejects_a_negative_point_count(tmp_path, capsys, dataset):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--dataset", "real", "--label", "5"], "--label: expected a label in [0, 3), got 5"),
+    (["--dataset", "mixed", "--ratio", "1.5"], "--ratio: expected a number in [0, 1], got 1.5"),
+    (["--dataset", "real", "--n-points", "0"], "--n-points: expected a count >= 1, got 0"),
+    (["--dataset", "real", "--dropout", "1.0"],
+     "--dropout: expected a number in [0, 1), got 1.0"),
+    (["--dataset", "real", "--batch", "0"], "--batch: expected a count >= 1, got 0"),
+    (["--dataset", "real", "--steps", "-1"], "--steps: expected a count >= 0, got -1"),
+])
+def test_train_toy_flag_faults_name_the_flag_and_value(tmp_path, capsys, flags, message):
+    out = tmp_path / "m.ckpt"
+    assert run("train-toy", "--steps", "2", *flags, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sample_simdrop_rejects_a_negative_sample_count(tmp_path, capsys):
     for name in ("gen", "ref"):
         save_checkpoint(VelocityModel(data_dim=3, cond_dim=TOY_COND_DIM, seed=1),

@@ -1,9 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from synthvid.camera_rig import PinholeCamera, focal_from_coverage, look_at
-from synthvid.meshes import Mesh, builtin_mesh, cube, cylinder, load_obj, torus, uv_sphere
+from synthvid.meshes import (
+    Mesh,
+    builtin_mesh,
+    cube,
+    cylinder,
+    load_obj,
+    room_box,
+    torus,
+    uv_sphere,
+)
 from synthvid.micro_renderer import (
+    ROOM_HALF_EXTENT,
     Frame,
     emit_engine_script,
     read_ppm,
@@ -305,6 +317,34 @@ def test_ppm_of_an_empty_frame_is_rejected(tmp_path, size):
     assert str(path) in str(err.value)
 
 
+# -- meshes --
+
+@pytest.mark.parametrize("build, digest", [
+    pytest.param(cube, "c35863220bb28e8a2a1cf26ccf0ca0aca1e09fff004ee1afabeeab56acf61df0",
+                 id="cube"),
+    pytest.param(uv_sphere, "37e432755075f9e7b908b8bd5004efe9b0d532b4727d1db973bf3c51ea6b6b96",
+                 id="sphere"),
+    pytest.param(torus, "ee64ce368173fc1d23160c3bb32687341c39cd389d45d870d0b70df4bada08d7",
+                 id="torus"),
+    pytest.param(cylinder, "5acce1f96b7eafddbb349365299561c63ddfe2ca534ac8cd347d9f0edefc4d6e",
+                 id="cylinder"),
+    pytest.param(lambda: uv_sphere(n_lat=26, n_lon=52),
+                 "fc9756a11a4feb949d81b1f96b0008bdbec5ef29d3eb814d9c3b16ee379eae3c",
+                 id="sphere_26x52"),
+    pytest.param(lambda: room_box((0.25, 0.5, 0.75), ROOM_HALF_EXTENT),
+                 "c50fde55bafc24aea9606e9c0bf378af31af21e473563186c4e786441c11825b",
+                 id="room"),
+])
+def test_mesh_arrays_are_pinned(build, digest):
+    """SHA-256 of each array's dtype, shape and bytes: vertices, triangles, colors."""
+    mesh = build()
+    h = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.triangles, mesh.colors):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode("ascii"))
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+
+
 # -- OBJ loader --
 
 
@@ -325,8 +365,10 @@ f 1/1/1 2/2/1 3/3/1 4/4/1
     assert len(mesh.triangles) == 2  # fan-triangulated quad
 
 
-def test_obj_loader_negative_indices():
-    mesh = load_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
+def test_obj_loader_negative_indices(tmp_path):
+    path = tmp_path / "tri.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
+    mesh = load_obj(path)
     assert len(mesh.triangles) == 1
     assert (mesh.triangles[0] == [0, 1, 2]).all()
 
@@ -347,8 +389,10 @@ def test_builtin_primitives_are_built_once_and_obj_files_read_each_time(tmp_path
     assert builtin_mesh(str(path)).vertices[1, 0] == 2.0 != first.vertices[1, 0]
 
 
-def test_obj_loader_drops_degenerate_faces():
-    mesh = load_obj("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+def test_obj_loader_drops_degenerate_faces(tmp_path):
+    path = tmp_path / "line.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
+    mesh = load_obj(path)
     assert len(mesh.triangles) == 0
 
 
