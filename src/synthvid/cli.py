@@ -9,6 +9,7 @@ a single seed and writes a byte-reproducible artifact tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import traceback
 from pathlib import Path
@@ -167,16 +168,28 @@ _TOY_DATASETS = {
 }
 
 
-# the train-toy flag that sets each flowlab setting, so a fault names the flag;
-# `learning_rate` (--lr) and a negative `n` (--n-points) keep their field-named
-# messages, which the CLI tests pin word for word
-_TRAIN_TOY_FLAGS = {"synthetic_share": "--ratio", "dataset size": "--n-points",
-                    "labels": "--label", "steps": "--steps", "batch_size": "--batch",
-                    "cond_dropout": "--dropout"}
+# the flag that sets each flowlab setting, so a fault names the flag
+_TRAIN_TOY_FLAGS = {"synthetic_share": "--ratio", "n": "--n-points",
+                    "dataset size": "--n-points", "labels": "--label", "steps": "--steps",
+                    "learning_rate": "--lr", "batch_size": "--batch", "cond_dropout": "--dropout"}
+_SIMDROP_FLAGS = {"n_samples": "--n", "n_steps": "--steps"}
+
+
+@contextlib.contextmanager
+def _faults_name_flags(flags: dict):
+    """Report a :class:`flowlab.SettingError` of a setting in ``flags`` by its
+    flag: ``<flag>: expected <what>, got <value>``."""
+    try:
+        yield
+    except flowlab.SettingError as exc:
+        if exc.setting not in flags:
+            raise
+        raise ValueError(f"{flags[exc.setting]}: expected {exc.expected}, "
+                         f"got {exc.value}") from None
 
 
 def _cmd_train_toy(args) -> int:
-    try:
+    with _faults_name_flags(_TRAIN_TOY_FLAGS):
         dataset = _TOY_DATASETS[args.dataset](args.n_points, stream_seed(args.seed, "data"),
                                               args.ratio)
         if args.label is not None:
@@ -190,11 +203,6 @@ def _cmd_train_toy(args) -> int:
                                   batch_size=args.batch, cond_dropout=args.dropout,
                                   seed=stream_seed(args.seed, "train"))
         model, trace = flowlab.train(model, dataset, cfg)
-    except flowlab.SettingError as exc:
-        if exc.setting not in _TRAIN_TOY_FLAGS:
-            raise
-        raise ValueError(f"{_TRAIN_TOY_FLAGS[exc.setting]}: expected {exc.expected}, "
-                         f"got {exc.value}") from None
     flowlab.save_checkpoint(model, args.out, seed=args.seed, train_steps=args.steps)
     tail = float(trace[-100:].mean()) if len(trace) else float("nan")
     print(f"trained {args.steps} steps on {args.dataset}; "
@@ -207,8 +215,9 @@ def _cmd_sample_simdrop(args) -> int:
     reports = []
     for alpha in args.alpha:
         params = guidance.default_guidance_params(alpha=alpha, beta=args.beta)
-        reports.append(guidance.run_simdrop_experiment(
-            gen, ref, params, n_samples=args.n, seed=args.seed, n_steps=args.steps))
+        with _faults_name_flags(_SIMDROP_FLAGS):
+            reports.append(guidance.run_simdrop_experiment(
+                gen, ref, params, n_samples=args.n, seed=args.seed, n_steps=args.steps))
     guidance.write_report(reports, args.report)
     for report in reports:
         print(f"alpha={report.alpha}: coverage {report.covered_bins}/{guidance.ANGLE_BINS}, "

@@ -413,7 +413,7 @@ def integrate(velocity_fn, x, n_steps: int) -> np.ndarray:
     or a batch; ``velocity_fn`` sees it as given.
     """
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+        raise SettingError("n_steps", "an integer >= 1", n_steps)
     x = np.asarray(x, dtype=float)
     dt = 1.0 / n_steps
     for k in range(n_steps):

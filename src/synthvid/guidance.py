@@ -38,6 +38,7 @@ from .flowlab import (
     REFERENCE_LABEL,
     TAGGED_SYNTHETIC_LABEL,
     TOY_COND_DIM,
+    SettingError,
     TrainConfig,
     VelocityModel,
     integrate,
@@ -152,7 +153,7 @@ def run_simdrop_experiment(gen: VelocityModel, ref: VelocityModel,
     if gen.data_dim != ref.data_dim:
         raise ValueError("generation and reference models must share data_dim")
     if n_samples < 0:
-        raise ValueError(f"n_samples: expected a count >= 0, got {n_samples}")
+        raise SettingError("n_samples", "a count >= 0", n_samples)
     # integrate before the empty-run return, so a bad n_steps is rejected either way
     rng = np.random.Generator(np.random.PCG64(seed))
     x = integrate(lambda x, t: simdrop_velocity(gen, ref, x, t, params),

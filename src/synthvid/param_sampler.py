@@ -5,7 +5,11 @@ Every scene parameter is drawn from its own preset-declared distribution
 independent RNG stream seeded from ``(sample seed, field name)``, so the
 draw for one field never depends on which other fields were drawn, in what
 order, or whether a field was added later.  Sampling is therefore a pure
-function of ``(preset, seed)``.
+function of ``(preset, seed)``.  Each stream is numpy's
+``PCG64(stream_seed(seed, field))`` stream, drawn by
+:class:`~synthvid.seeding.Stream`; the streams of every drawn field of a
+config, or of a whole batch, are seeded in one call to
+:func:`~synthvid.seeding.pcg64_starts`.
 
 The fields a preset draws, their types and their legal values are the
 field table, :data:`~synthvid.scene_config.FIELDS`; every draw returns its
@@ -17,18 +21,22 @@ Every preset is checked when it is built, whether decoded from JSON or
 written in code: each bound, category and constant must be a legal value
 of its field, or a :class:`~synthvid.jsondoc.FormatError` names the preset
 (or the file) and the field.  So every value a preset draws passes
-:func:`~synthvid.scene_config.validate_config`'s check of its field.
+:func:`~synthvid.scene_config.validate_config`'s check of its field.  Two
+rules across fields are checked then too: a preset whose largest width times
+largest height exceeds :data:`~synthvid.scene_config.MAX_PIXELS`, or that can
+draw no light together with no ambient light, is rejected the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-import numpy as np
+from bisect import bisect_right
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 from . import jsondoc
 from .scene_config import (
     FIELDS,
+    MAX_PIXELS,
     AnimationKind,
     CameraSpec,
     EnvSpec,
@@ -44,7 +52,7 @@ from .scene_config import (
     validate_config,
     vector_axes,
 )
-from .seeding import derive_seed, stream_seed
+from .seeding import Stream, derive_seed, pcg64_starts, stream_seeds
 
 __all__ = [
     "Categorical",
@@ -72,39 +80,37 @@ class Uniform:
         if not (self.low <= self.high):
             raise ValueError(f"empty uniform range [{self.low}, {self.high}]")
 
-    def draw(self, rng: np.random.Generator):
-        return float(rng.uniform(self.low, self.high))
+    def draw(self, rng: Stream) -> float:
+        return rng.uniform(self.low, self.high)
 
 
 @dataclass(frozen=True)
 class Categorical:
-    """Weighted choice; categories keep their declared order."""
+    """Weighted choice; categories keep their declared order.
+
+    A draw takes the first category whose cumulative probability, summed
+    left to right, exceeds a uniform draw in [0, 1), and the last category
+    when rounding leaves the sum short of the draw.
+    """
 
     weights: tuple[tuple[object, float], ...]
+    thresholds: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights:
             raise ValueError("categorical needs at least one category")
-        total = 0.0
         for choice, w in self.weights:
             if w < 0.0:
                 raise ValueError(f"negative weight for {choice!r}")
-            total += w
+        total = sum(w for _, w in self.weights)
         if total <= 0.0:
             raise ValueError("categorical weights must sum to a positive value")
+        object.__setattr__(self, "thresholds",
+                           tuple(accumulate(w / total for _, w in self.weights)))
 
-    def probabilities(self) -> tuple[tuple[object, float], ...]:
-        total = sum(w for _, w in self.weights)
-        return tuple((c, w / total) for c, w in self.weights)
-
-    def draw(self, rng: np.random.Generator):
-        u = float(rng.random())
-        acc = 0.0
-        for choice, p in self.probabilities():
-            acc += p
-            if u < acc:
-                return choice
-        return self.weights[-1][0]
+    def draw(self, rng: Stream):
+        at = bisect_right(self.thresholds, rng.random())
+        return self.weights[min(at, len(self.weights) - 1)][0]
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,42 @@ class DistributionPreset:
     def __post_init__(self):
         source = f"preset {self.name!r}"
         jsondoc.Field(self.params, source, "params").object(tuple(FIELDS))
-        for name, spec in jsondoc.Field(_params_doc(self.params), source, "params").members():
+        doc = jsondoc.Field(_params_doc(self.params), source, "params")
+        for name, spec in doc.members():
             _distribution(spec, name.value)
+        _check_across_fields(self.params, doc)
+
+
+def _extent(dist: Distribution) -> tuple:
+    """The least and the greatest value ``dist`` can draw."""
+    if isinstance(dist, Constant):
+        values = (dist.value,)
+    elif isinstance(dist, Uniform):
+        values = (dist.low, dist.high)
+    else:
+        # a category of weight 0 is never drawn, except the last one when
+        # rounding leaves the thresholds short of 1
+        values = tuple(c for c, w in dist.weights if w > 0.0)
+        if dist.thresholds[-1] < 1.0:
+            values += (dist.weights[-1][0],)
+    return min(values), max(values)
+
+
+def _check_across_fields(params: dict, doc: jsondoc.Field) -> None:
+    """Reject ``params`` if they can draw a config that breaks a rule across
+    fields of :func:`~synthvid.scene_config.validate_config`: a frame over the
+    pixel budget, or no light and no ambient light.  ``doc`` is the params
+    document the fault is reported at."""
+    width, height = (int(_extent(params[f"render.{side}"])[1]) for side in ("width", "height"))
+    if width * height > MAX_PIXELS:
+        raise doc["render.width"].error(
+            f"width*height can reach {width}*{height} = {width * height}, "
+            f"over the limit of {MAX_PIXELS}")
+    if (_extent(params["lighting.n_lights"])[0] == 0
+            and _extent(params["lighting.ambient_intensity"])[0] <= 0.0):
+        raise doc["lighting.n_lights"].error(
+            "can draw 0 lights while lighting.ambient_intensity can draw 0; "
+            "a scene needs at least one light or a positive ambient intensity")
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +174,14 @@ class DistributionPreset:
 
 
 class _Draws:
-    """The draws of one ``(preset, seed)`` sample.
+    """The draws of one ``(preset, seed)`` sample, from ``streams``: each
+    drawn field's stream, by field name.
 
-    Each value has the type the field table gives its field.  A field's
-    stream is built on its first draw, so a field that is never drawn costs
-    nothing.
+    Each value has the type the field table gives its field.
     """
 
-    def __init__(self, preset: DistributionPreset, seed: int):
-        self.params, self.seed, self.streams = preset.params, seed, {}
+    def __init__(self, params: dict, streams: dict):
+        self.params, self.streams = params, streams
 
     def value(self, name: str):
         """Field ``name``'s next value; a vector is drawn axis by axis, as a tuple."""
@@ -152,18 +191,23 @@ class _Draws:
         dist, kind = self.params[name], FIELDS[name].kind
         if isinstance(dist, Constant):
             return kind(dist.value)
-        rng = self.streams.get(name)
-        if rng is None:
-            rng = self.streams[name] = np.random.Generator(
-                np.random.PCG64(stream_seed(self.seed, name)))
+        rng = self.streams[name]
         if kind is int and isinstance(dist, Uniform):
-            return int(rng.integers(int(dist.low), int(dist.high) + 1))
+            return rng.integers(int(dist.low), int(dist.high) + 1)
         return kind(dist.draw(rng))
 
     def record(self, cls, prefix: str, **given):
         """The dataclass ``cls``, each member ``m`` not ``given`` drawn as field ``prefix + m``."""
         return cls(**{f.name: given[f.name] if f.name in given else self.value(prefix + f.name)
                       for f in fields(cls)})
+
+
+def _field_streams(preset: DistributionPreset, seeds: list[int]) -> list[dict]:
+    """For each seed, the stream of every field ``preset`` draws, by name,
+    all seeded in one call; a field drawn from a constant has none."""
+    names = [name for name, dist in preset.params.items() if not isinstance(dist, Constant)]
+    starts = iter(pcg64_starts(stream_seeds(seeds, names)))
+    return [{name: Stream(*next(starts)) for name in names} for _ in seeds]
 
 
 def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
@@ -174,7 +218,12 @@ def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
     take ``focus_type = Fixed``, because re-aiming at a focus target would
     cancel the rotation those movements describe.
     """
-    draw = _Draws(preset, seed)
+    return _sample(preset, seed, _field_streams(preset, [seed])[0])
+
+
+def _sample(preset: DistributionPreset, seed: int, streams: dict) -> SceneConfig:
+    """:func:`sample_config` for ``seed``, drawing from its field ``streams``."""
+    draw = _Draws(preset.params, streams)
 
     kind = draw.value("object_animation.kind")
     if kind is AnimationKind.SPIN:
@@ -208,18 +257,21 @@ def sample_config(preset: DistributionPreset, seed: int) -> SceneConfig:
 
     report = validate_config(cfg)
     if not report.ok:
-        # Every drawn value passed its field's rule when the preset was built,
-        # so only a rule across fields can fail here: a camera at the origin,
-        # no light and no ambient, or width*height over the pixel budget.
+        # Every drawn value passed its field's rule, and the pixel budget and
+        # the light rule were checked across fields, when the preset was
+        # built; so only a camera drawn at the origin can fail here.
         raise ValueError(f"preset {preset.name!r} produced an invalid config:\n{report}")
     return cfg
 
 
 def sample_batch(preset: DistributionPreset, base_seed: int, count: int) -> list[SceneConfig]:
-    """Sample ``count`` configs; element i uses ``derive_seed(base_seed, i)``."""
+    """Sample ``count`` configs; element i is ``sample_config(preset,
+    derive_seed(base_seed, i))``, with the streams of all of them seeded at once."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [sample_config(preset, derive_seed(base_seed, i)) for i in range(count)]
+    seeds = [derive_seed(base_seed, i) for i in range(count)]
+    return [_sample(preset, seed, streams)
+            for seed, streams in zip(seeds, _field_streams(preset, seeds))]
 
 
 # ---------------------------------------------------------------------------
@@ -418,5 +470,6 @@ def decode_preset(text: str | bytes, source: str = "preset") -> DistributionPres
     """
     doc = jsondoc.loads(text, source).object(("schema", "name", "params")).schema()
     params = doc["params"].object(tuple(FIELDS))
-    return DistributionPreset(doc["name"].string(), {
-        name.value: _distribution(spec, name.value) for name, spec in params.members()})
+    dists = {name.value: _distribution(spec, name.value) for name, spec in params.members()}
+    _check_across_fields(dists, params)
+    return DistributionPreset(doc["name"].string(), dists)

@@ -139,7 +139,7 @@ def test_sample_simdrop_zero_steps_exits_1(tmp_path, capsys):
     assert run("sample-simdrop", "--gen", str(tmp_path / "gen.ckpt"),
                "--ref", str(tmp_path / "ref.ckpt"), "--n", "10", "--steps", "0",
                "--report", str(report)) == 1
-    assert "n_steps must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --steps: expected an integer >= 1, got 0\n"
     assert not report.exists()
 
 
@@ -149,7 +149,7 @@ def test_train_toy_rejects_a_non_finite_learning_rate(tmp_path, capsys, lr):
     assert run("train-toy", "--dataset", "real", "--steps", "2", "--lr", lr,
                "--out", str(out)) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: learning_rate: expected a finite number > 0, got {float(lr)}\n"
+    assert captured.err == f"error: --lr: expected a finite number > 0, got {float(lr)}\n"
     assert not out.exists()
 
 
@@ -158,7 +158,7 @@ def test_train_toy_rejects_a_negative_point_count(tmp_path, capsys, dataset):
     out = tmp_path / "m.ckpt"
     assert run("train-toy", "--dataset", dataset, "--steps", "2", "--n-points", "-1",
                "--out", str(out)) == 1
-    assert capsys.readouterr().err == "error: n: expected a count >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --n-points: expected a count >= 0, got -1\n"
     assert not out.exists()
 
 
@@ -186,7 +186,7 @@ def test_sample_simdrop_rejects_a_negative_sample_count(tmp_path, capsys):
     assert run("sample-simdrop", "--gen", str(tmp_path / "gen.ckpt"),
                "--ref", str(tmp_path / "ref.ckpt"), "--n", "-1", "--steps", "5",
                "--report", str(report)) == 1
-    assert capsys.readouterr().err == "error: n_samples: expected a count >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: --n: expected a count >= 0, got -1\n"
     assert not report.exists()
 
 
@@ -417,8 +417,8 @@ def test_preset_breaking_a_rule_across_fields_names_file(tmp_path, capsys):
     assert run("sample-configs", "--preset", "z", "--preset-file", str(path),
                "--out", str(out)) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: preset 'z' produced an invalid config:\n"
-        "render: width*height must not exceed 4000000\n")
+        f"error: {path}: params.render.width: width*height can reach 100000*120 = 12000000, "
+        "over the limit of 4000000\n")
     assert not out.exists()
 
 

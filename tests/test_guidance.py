@@ -210,6 +210,6 @@ def test_experiment_rejects_a_negative_sample_count():
 def test_experiment_rejects_zero_steps(n_samples):
     gen = VelocityModel(data_dim=3, cond_dim=3, seed=13)
     ref = VelocityModel(data_dim=3, cond_dim=3, seed=14)
-    with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 0"):
+    with pytest.raises(ValueError, match="^n_steps: expected an integer >= 1, got 0$"):
         run_simdrop_experiment(gen, ref, default_guidance_params(0.1), n_samples, seed=0,
                                n_steps=0)

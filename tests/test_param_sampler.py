@@ -272,3 +272,53 @@ def test_library_protects_builtins(library):
 def test_unknown_preset_error_names_known(library):
     with pytest.raises(KeyError, match="forward_only"):
         library.get("nope")
+
+
+def test_builtin_presets_build_and_decode(library):
+    for name in ("random", "forward_only", "forward_following"):
+        preset = library.get(name)
+        assert DistributionPreset(name, dict(preset.params)).params == preset.params
+        assert decode_preset(encode_preset(preset)).params == preset.params
+
+
+_NO_LIGHT = Categorical(((0, 0.5), (1, 0.5)))
+
+
+@pytest.mark.parametrize("changes, problem", [
+    ({"render.width": Constant(100000)},
+     "render.width: width*height can reach 100000*120 = 12000000, over the limit of 4000000"),
+    ({"render.width": Uniform(100, 4000), "render.height": Categorical(((120, 0.5), (1200, 0.5)))},
+     "render.width: width*height can reach 4000*1200 = 4800000, over the limit of 4000000"),
+    ({"lighting.n_lights": _NO_LIGHT, "lighting.ambient_intensity": Uniform(0.0, 0.3)},
+     "lighting.n_lights: can draw 0 lights while lighting.ambient_intensity can draw 0; "
+     "a scene needs at least one light or a positive ambient intensity"),
+    ({"lighting.n_lights": Uniform(0, 2), "lighting.ambient_intensity": Constant(0.0)},
+     "lighting.n_lights: can draw 0 lights while lighting.ambient_intensity can draw 0; "
+     "a scene needs at least one light or a positive ambient intensity"),
+    # the thresholds sum to 1 - 2**-53, so a draw past them takes the last category
+    ({"lighting.n_lights": Categorical(((1, 0.1), (2, 0.1), (1, 0.6), (0, 0.0))),
+      "lighting.ambient_intensity": Constant(0.0)},
+     "lighting.n_lights: can draw 0 lights while lighting.ambient_intensity can draw 0; "
+     "a scene needs at least one light or a positive ambient intensity"),
+])
+def test_preset_breaking_a_rule_across_fields_names_preset_or_file_and_field(
+        library, changes, problem):
+    params = {**library.get("random").params, **changes}
+    with pytest.raises(FormatError, match="^" + re.escape(f"preset 'z': params.{problem}") + "$"):
+        DistributionPreset("z", params)
+    text = encode_preset(types.SimpleNamespace(name="z", params=params))
+    with pytest.raises(FormatError, match="^" + re.escape(f"custom.json: params.{problem}") + "$"):
+        decode_preset(text, "custom.json")
+
+
+@pytest.mark.parametrize("changes", [
+    # the largest frame exactly at the budget
+    {"render.width": Uniform(100, 2000), "render.height": Constant(2000)},
+    # no light, but always some ambient light
+    {"lighting.n_lights": _NO_LIGHT},
+    # no ambient light, but a light always: a zero-weight category is never drawn
+    {"lighting.n_lights": Categorical(((0, 0.0), (1, 1.0))),
+     "lighting.ambient_intensity": Constant(0.0)},
+])
+def test_preset_keeping_the_rules_across_fields_builds(library, changes):
+    DistributionPreset("z", {**library.get("random").params, **changes})
